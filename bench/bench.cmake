@@ -36,3 +36,10 @@ target_compile_options(bench_micro_simulator PRIVATE ${PCS_STRICT_WARNINGS})
 set_target_properties(bench_micro_simulator PROPERTIES
   OUTPUT_NAME micro_simulator
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+
+# The figure benches have one executor each; the retired --sweep-lanes
+# switch (and any other unknown argument) is a usage error.
+pcs_add_usage_test(bench_fig4_simulation_rejects_sweep_lanes
+                   bench_fig4_simulation "" --sweep-lanes)
+pcs_add_usage_test(bench_fig3_yield_rejects_sweep_lanes bench_fig3_yield ""
+                   --sweep-lanes)

@@ -10,9 +10,7 @@
 // (PCS_TRIALS manufactured dies, default 2000, fanned across PCS_THREADS
 // workers with per-trial SplitMix64-derived seeds -- output is identical
 // at every thread count).
-#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -20,29 +18,16 @@
 #include "baselines/fft_cache.hpp"
 #include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
-#include "fault/cell_fault_field.hpp"
 #include "fault/yield_model.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 using namespace pcs;
 
 int main(int argc, char** argv) {
-  // --sweep-lanes: run the Monte-Carlo cross-check through the sweep
-  // engine's fused kernels (chip_fail_voltages_mc + one-pass
-  // yield_pass_counts) instead of the inline per-voltage count_if scans.
-  // Output is byte-identical (pinned by tests/test_fig_regression.cpp);
-  // the banner goes to stderr so stdout can be cmp'd against scalar.
-  bool sweep_lanes = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sweep-lanes") == 0) {
-      sweep_lanes = true;
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--sweep-lanes]\n";
-      return 2;
-    }
+  if (argc > 1) {
+    std::cerr << "usage: " << argv[0] << "\n";
+    return 2;
   }
-  if (sweep_lanes) std::cerr << "fig3d: lane-parallel MC kernels\n";
   const auto tech = Technology::soi45();
   const CacheOrg org{64 * 1024, 4, 64, 31};
   BerModel ber(tech);
@@ -106,36 +91,11 @@ int main(int argc, char** argv) {
   if (trials == 0) return 0;  // PCS_TRIALS=0 opts out of the cross-check
   const u64 mc_seed = 7;
   const std::vector<double> probes = {0.60, 0.625, 0.65, 0.70, 0.75};
-  std::vector<float> chip_vf;
-  std::vector<u64> pass_counts(probes.size(), 0);
-  if (sweep_lanes) {
-    chip_vf = chip_fail_voltages_mc(trials, mc_seed, ber, org,
-                                    pcs_thread_count());
-    pass_counts = yield_pass_counts(chip_vf, probes);
-  } else {
-    chip_vf = parallel_index_map(
-        pcs_thread_count(), trials, [&](u64 i) -> float {
-          Rng rng(derive_seed(mc_seed, 0, i));
-          const auto field = CellFaultField::sample_fast(
-              ber, org.num_blocks(), org.bits_per_block(), rng);
-          float worst_set = 0.0f;
-          for (u64 s = 0; s < org.num_sets(); ++s) {
-            float best_way = 2.0f;  // above any physical failure voltage
-            for (u32 w = 0; w < org.assoc; ++w) {
-              best_way = std::min(
-                  best_way, static_cast<float>(
-                                field.block_fail_voltage(s * org.assoc + w)));
-            }
-            worst_set = std::max(worst_set, best_way);
-          }
-          return worst_set;
-        });
-    for (std::size_t k = 0; k < probes.size(); ++k) {
-      pass_counts[k] = static_cast<u64>(
-          std::count_if(chip_vf.begin(), chip_vf.end(),
-                        [&](float vf) { return probes[k] > vf; }));
-    }
-  }
+  // Fused sweep-engine kernels: one chip_fail_voltage scalar per die, then
+  // one pass over the dies for every probe voltage.
+  const std::vector<float> chip_vf =
+      chip_fail_voltages_mc(trials, mc_seed, ber, org, pcs_thread_count());
+  const std::vector<u64> pass_counts = yield_pass_counts(chip_vf, probes);
 
   std::cout << "\nMonte-Carlo cross-check (" << fmt_count(trials)
             << " manufactured dies):\n";

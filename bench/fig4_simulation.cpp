@@ -10,9 +10,10 @@
 // SPCS nearly everywhere, with a larger gap for config B's bigger caches;
 // perf overheads <= 2.6% (A) / 4.4% (B); no benchmark regressing energy.
 //
-// Runtime scales with PCS_REFS (default 2,000,000 measured refs per run)
-// and parallelizes across PCS_THREADS workers (default: all hardware
-// threads; the output is byte-identical at every thread count). Set
+// Runtime scales with PCS_REFS (default 2,000,000 measured refs per run).
+// The grid runs on the lane-parallel SweepRunner (DESIGN.md section 12)
+// across PCS_THREADS workers (default: all hardware threads; the output is
+// byte-identical at every thread count). Set
 // PCS_TRACE=<path> to also write a telemetry trace of all 96 runs
 // (TELEMETRY.md); its deterministic section is likewise byte-identical at
 // every thread count. Pass --trace-file PATH (repeatable) to replay
@@ -40,12 +41,6 @@ struct Row {
   std::string name;
   SimReport base, spcs, dpcs;
 };
-
-/// 0 = scalar ExperimentRunner; >0 = SweepRunner with that many lanes per
-/// shard. Both paths produce byte-identical stdout (pinned by the golden
-/// regression and the CI cmp smoke); the sweep path just decodes each trace
-/// once per shard instead of once per grid point.
-u32 g_sweep_lanes = 0;
 
 /// Non-empty = replay these recorded trace files (text or .pcst, see
 /// TRACES.md) instead of the sixteen synthetic SPEC-like profiles. The
@@ -84,15 +79,12 @@ std::vector<std::vector<Row>> run_grid(u64 refs) {
     sink = make_trace_sink(path);
     emit_trace_header(*sink);
   }
-  std::vector<SimReport> reports;
-  if (g_sweep_lanes > 0) {
-    SweepOptions opt;
-    opt.num_threads = 0;  // pcs_thread_count(), same default as the runner
-    opt.max_lanes = g_sweep_lanes;
-    reports = SweepRunner(opt).run(grid, sink.get());
-  } else {
-    reports = ExperimentRunner().run(grid, sink.get());
-  }
+  // The lane-parallel engine decodes each trace once per shard of grid
+  // points; its reports are bit-identical to per-point ExperimentRunner
+  // runs (pinned by the golden regression and the differential suite).
+  SweepOptions opt;
+  opt.num_threads = 0;  // pcs_thread_count()
+  const std::vector<SimReport> reports = SweepRunner(opt).run(grid, sink.get());
 
   const u64 num_wl = grid_workloads().size();
   std::vector<std::vector<Row>> rows(2, std::vector<Row>(num_wl));
@@ -195,24 +187,12 @@ int main(int argc, char** argv) {
     refs = std::strtoull(env, nullptr, 10);
   }
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sweep-lanes") == 0) {
-      g_sweep_lanes = 16;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        g_sweep_lanes = static_cast<u32>(
-            std::strtoul(argv[++i], nullptr, 10));
-      }
-    } else if (std::strcmp(argv[i], "--trace-file") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace-file") == 0 && i + 1 < argc) {
       g_trace_files.emplace_back(argv[++i]);
     } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--sweep-lanes [N]] [--trace-file PATH]...\n";
+      std::cerr << "usage: " << argv[0] << " [--trace-file PATH]...\n";
       return 2;
     }
-  }
-  if (g_sweep_lanes > 0) {
-    // Banner on stderr so stdout stays byte-identical to the scalar path.
-    std::cerr << "fig4: lane-parallel sweep engine, " << g_sweep_lanes
-              << " lanes per shard\n";
   }
   std::cout << "== FIG4: gem5-style simulation sweep (" << fmt_count(refs)
             << " measured refs per run; set PCS_REFS to change) ==\n";

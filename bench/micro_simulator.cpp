@@ -396,10 +396,11 @@ BENCHMARK(BM_Fig4SweepLanes);
 
 // ---- Population engine inner loop -----------------------------------------
 
-/// The per-die kernel of the population engine, exactly as PopulationEngine
-/// runs it: one fused sample_fast draw, one chip_fail_voltage scalar for
-/// the viability floor, one histogram pass over the block fail voltages for
-/// every level's capacity. Items = dies, so items/s is the fleet rate/core.
+/// The per-die population kernel in its plain bin_chip form (the serial
+/// reference the grid engine is tested against): one fused sample_fast
+/// draw, one chip_fail_voltage scalar for the viability floor, one
+/// histogram pass over the block fail voltages for every level's capacity.
+/// Items = dies, so items/s is the fleet rate/core.
 void BM_PopulationBinChip(benchmark::State& state) {
   const BerModel ber(Technology::soi45());
   const PopulationSpec spec;  // 64 KB 4-way, 56-level default ladder
@@ -488,10 +489,11 @@ void BM_PopulationGridDie(benchmark::State& state) {
 }
 BENCHMARK(BM_PopulationGridDie);
 
-/// The same 24 points as G independent PopulationEngine runs (what a user
-/// got before the grid engine: one full fault-field draw per die *per
-/// point*). Per-point results are bit-identical to the grid run -- the
-/// differential tests pin that -- so the pair prices pure amortization.
+/// The same 24 points as G independent singleton-grid runs (what a user
+/// gets from G separate chip_binning runs: one full fault-field draw per
+/// die *per point*). Per-point results are bit-identical to the grid run
+/// -- the differential tests pin that -- so the pair prices pure
+/// amortization.
 void BM_PopulationGridDieIndependent(benchmark::State& state) {
   const BerModel ber(Technology::soi45());
   const auto spec = grid_bench::grid_spec();
@@ -499,9 +501,12 @@ void BM_PopulationGridDieIndependent(benchmark::State& state) {
     for (const u64 size_kb : spec.sizes_kb) {
       for (const u32 assoc : spec.assocs) {
         for (const Volt sigma : spec.sigmas) {
-          PopulationEngine engine(BerModel(ber.mu(), sigma), 1);
-          benchmark::DoNotOptimize(engine.run(spec.point_spec(size_kb,
-                                                              assoc)));
+          PopulationGridSpec point = spec;
+          point.sizes_kb = {size_kb};
+          point.assocs = {assoc};
+          point.sigmas = {sigma};
+          PopulationGridEngine engine(ber, 1);
+          benchmark::DoNotOptimize(engine.run(point));
         }
       }
     }

@@ -13,17 +13,20 @@
 // the completed shard prefix of an earlier run; --checkpoint-stop-after N is
 // the CI/test hook that kills the process (exit 3) after the Nth sidecar
 // write, leaving a genuinely torn run behind for a resume to finish.
+// Numeric arguments must be whole tokens; a malformed one prints usage and
+// exits 2.
 //
 // Runs on PCS_THREADS workers; the report is byte-identical at any thread
 // count and any shard size -- and for a resumed run -- and matches a
 // `population` job submitted to `pcs_sim --serve` with the same parameters.
-// PCS_TRACE writes the population_shard telemetry stream (TELEMETRY.md).
+// PCS_TRACE writes the run's population_grid_point telemetry record
+// (TELEMETRY.md).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "exp/job_service.hpp"
@@ -32,75 +35,80 @@
 
 using namespace pcs;
 
+namespace {
+
+int usage(const char* argv0, const char* why) {
+  std::fprintf(stderr,
+               "chip_binning: %s\n"
+               "usage: %s [num_chips] [size_kb] [assoc] [seed] [shard_chips]"
+               " [sigma]\n"
+               "       [--checkpoint PATH] [--checkpoint-shards N] [--resume]"
+               " [--checkpoint-stop-after N]\n",
+               why, argv0);
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   PopulationJobSpec job;
+  job.spec.num_chips = 500;
   u64 stop_after = 0;
-  int pos = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--checkpoint") == 0 && i + 1 < argc) {
-      job.checkpoint = argv[++i];
-    } else if (std::strcmp(arg, "--checkpoint-shards") == 0 && i + 1 < argc) {
-      job.checkpoint_shards = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      job.resume = true;
-    } else if (std::strcmp(arg, "--checkpoint-stop-after") == 0 &&
-               i + 1 < argc) {
-      stop_after = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      switch (++pos) {
-        case 1: job.spec.num_chips = std::strtoull(arg, nullptr, 10); break;
-        case 2:
-          job.spec.org.size_bytes = std::strtoull(arg, nullptr, 10) * 1024;
-          break;
-        case 3:
-          job.spec.org.assoc =
-              static_cast<u32>(std::strtoul(arg, nullptr, 10));
-          break;
-        case 4: job.spec.seed = std::strtoull(arg, nullptr, 10); break;
-        case 5:
-          job.spec.chips_per_shard = std::strtoull(arg, nullptr, 10);
-          break;
-        case 6: job.sigma = std::strtod(arg, nullptr); break;
-        default:
-          std::fprintf(stderr, "chip_binning: unexpected argument '%s'\n",
-                       arg);
-          return 2;
+  try {
+    int pos = 0;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--checkpoint" && i + 1 < argc) {
+        job.checkpoint = argv[++i];
+      } else if (arg == "--checkpoint-shards" && i + 1 < argc) {
+        job.checkpoint_shards = parse_u64_token(argv[++i], arg);
+      } else if (arg == "--resume") {
+        job.resume = true;
+      } else if (arg == "--checkpoint-stop-after" && i + 1 < argc) {
+        stop_after = parse_u64_token(argv[++i], arg);
+      } else {
+        switch (++pos) {
+          case 1: job.spec.num_chips = parse_u64_token(arg, "num_chips"); break;
+          case 2:
+            job.spec.org.size_bytes = parse_u64_token(arg, "size_kb") * 1024;
+            break;
+          case 3:
+            job.spec.org.assoc =
+                checked_assoc(parse_u64_token(arg, "assoc"), "assoc");
+            break;
+          case 4: job.spec.seed = parse_u64_token(arg, "seed"); break;
+          case 5:
+            job.spec.chips_per_shard = parse_u64_token(arg, "shard_chips");
+            break;
+          case 6: job.sigma = parse_real_token(arg, "sigma"); break;
+          default:
+            throw std::invalid_argument("unexpected argument '" + arg + "'");
+        }
       }
     }
+  } catch (const std::invalid_argument& e) {
+    return usage(argv[0], e.what());
   }
-  if (pos < 1) job.spec.num_chips = 500;
 
   std::unique_ptr<TraceSink> sink;
   if (const char* env = std::getenv("PCS_TRACE")) {
     sink = make_trace_sink(env);
     emit_trace_header(*sink);
   }
+  // --checkpoint-stop-after: tear the process down after the Nth sidecar
+  // write (exit 3) so the CI smoke can resume a genuinely torn run.
+  u64 saves = 0;
+  CheckpointHook stop_hook;
+  if (stop_after > 0) {
+    stop_hook = [&](u64) {
+      if (++saves >= stop_after) std::_Exit(3);
+    };
+  }
   try {
-    if (stop_after > 0) {
-      // Test hook: run the engine directly so the on_checkpoint callback
-      // can tear the process down mid-run (the normal path below is the
-      // byte-identity surface shared with the service).
-      const BerModel ber = job.sigma == 0.0
-                               ? BerModel(Technology::soi45())
-                               : BerModel(Technology::soi45().ber_mu,
-                                          job.sigma);
-      const PopulationEngine engine(ber, pcs_thread_count());
-      CheckpointOptions ckpt;
-      ckpt.path = job.checkpoint;
-      ckpt.every_shards = job.checkpoint_shards;
-      ckpt.resume = job.resume;
-      u64 saves = 0;
-      ckpt.on_checkpoint = [&](u64) {
-        if (++saves >= stop_after) std::_Exit(3);
-      };
-      const PopulationResult result = engine.run(job.spec, sink.get(), &ckpt);
-      render_population_report(job.spec, result, std::cout);
-    } else {
-      // Same run + render path as a service-mode "population" job, so the
-      // standalone report is byte-identical to the job's output file.
-      run_population_job(job, std::cout, pcs_thread_count(), sink.get());
-    }
+    // Same run + render path as a service-mode "population" job, so the
+    // standalone report is byte-identical to the job's output file.
+    run_population_job(job, std::cout, pcs_thread_count(), sink.get(),
+                       stop_hook);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "chip_binning: %s\n", e.what());
     return 2;

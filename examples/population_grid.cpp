@@ -18,15 +18,16 @@
 // this. The checkpoint flags mirror chip_binning's; the summary report is
 // byte-identical at any thread count, any shard size, and across a
 // kill+resume. PCS_TRACE writes the population_grid_point telemetry stream
-// (TELEMETRY.md).
+// (TELEMETRY.md). Numeric arguments and list items must be whole tokens; a
+// malformed one prints usage and exits 2.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,119 +39,101 @@ using namespace pcs;
 
 namespace {
 
-std::vector<u64> parse_u64_csv(const char* s) {
-  std::vector<u64> out;
-  char* cursor = nullptr;
-  for (const char* tok = s; *tok != '\0';
-       tok = *cursor == ',' ? cursor + 1 : cursor) {
-    out.push_back(std::strtoull(tok, &cursor, 10));
-    if (cursor == tok || (*cursor != ',' && *cursor != '\0')) {
-      throw std::invalid_argument(std::string("malformed list '") + s + "'");
-    }
-  }
-  return out;
-}
-
-std::vector<double> parse_real_csv(const char* s) {
-  std::vector<double> out;
-  char* cursor = nullptr;
-  for (const char* tok = s; *tok != '\0';
-       tok = *cursor == ',' ? cursor + 1 : cursor) {
-    out.push_back(std::strtod(tok, &cursor));
-    if (cursor == tok || (*cursor != ',' && *cursor != '\0')) {
-      throw std::invalid_argument(std::string("malformed list '") + s + "'");
-    }
-  }
-  return out;
+int usage(const char* argv0, const char* why) {
+  std::fprintf(stderr,
+               "population_grid: %s\n"
+               "usage: %s [num_chips] [seed] [shard_chips]\n"
+               "       [--sizes KB,KB,...] [--assocs W,W,...]"
+               " [--sigmas S,S,...] [--out-dir DIR]\n"
+               "       [--checkpoint PATH] [--checkpoint-shards N] [--resume]"
+               " [--checkpoint-stop-after N]\n",
+               why, argv0);
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  PopulationGridSpec spec;
+  PopulationGridJobSpec job;
+  PopulationGridSpec& spec = job.spec;
   spec.base.num_chips = 500;
-  std::string out_dir, checkpoint;
-  u64 checkpoint_shards = 16, stop_after = 0;
-  bool resume = false;
-  int pos = 0;
+  std::string out_dir;
+  u64 stop_after = 0;
   try {
+    int pos = 0;
     for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strcmp(arg, "--sizes") == 0 && i + 1 < argc) {
-        spec.sizes_kb = parse_u64_csv(argv[++i]);
-      } else if (std::strcmp(arg, "--assocs") == 0 && i + 1 < argc) {
+      const std::string arg = argv[i];
+      if (arg == "--sizes" && i + 1 < argc) {
+        spec.sizes_kb = parse_u64_list(argv[++i], arg);
+      } else if (arg == "--assocs" && i + 1 < argc) {
         spec.assocs.clear();
-        for (const u64 a : parse_u64_csv(argv[++i])) {
-          spec.assocs.push_back(static_cast<u32>(a));
+        for (const u64 a : parse_u64_list(argv[++i], arg)) {
+          spec.assocs.push_back(checked_assoc(a, arg));
         }
-      } else if (std::strcmp(arg, "--sigmas") == 0 && i + 1 < argc) {
-        spec.sigmas = parse_real_csv(argv[++i]);
-      } else if (std::strcmp(arg, "--out-dir") == 0 && i + 1 < argc) {
+      } else if (arg == "--sigmas" && i + 1 < argc) {
+        spec.sigmas = parse_real_list(argv[++i], arg);
+      } else if (arg == "--out-dir" && i + 1 < argc) {
         out_dir = argv[++i];
-      } else if (std::strcmp(arg, "--checkpoint") == 0 && i + 1 < argc) {
-        checkpoint = argv[++i];
-      } else if (std::strcmp(arg, "--checkpoint-shards") == 0 &&
-                 i + 1 < argc) {
-        checkpoint_shards = std::strtoull(argv[++i], nullptr, 10);
-      } else if (std::strcmp(arg, "--resume") == 0) {
-        resume = true;
-      } else if (std::strcmp(arg, "--checkpoint-stop-after") == 0 &&
-                 i + 1 < argc) {
-        stop_after = std::strtoull(argv[++i], nullptr, 10);
+      } else if (arg == "--checkpoint" && i + 1 < argc) {
+        job.checkpoint = argv[++i];
+      } else if (arg == "--checkpoint-shards" && i + 1 < argc) {
+        job.checkpoint_shards = parse_u64_token(argv[++i], arg);
+      } else if (arg == "--resume") {
+        job.resume = true;
+      } else if (arg == "--checkpoint-stop-after" && i + 1 < argc) {
+        stop_after = parse_u64_token(argv[++i], arg);
       } else {
         switch (++pos) {
           case 1:
-            spec.base.num_chips = std::strtoull(arg, nullptr, 10);
+            spec.base.num_chips = parse_u64_token(arg, "num_chips");
             break;
-          case 2: spec.base.seed = std::strtoull(arg, nullptr, 10); break;
+          case 2: spec.base.seed = parse_u64_token(arg, "seed"); break;
           case 3:
-            spec.base.chips_per_shard = std::strtoull(arg, nullptr, 10);
+            spec.base.chips_per_shard = parse_u64_token(arg, "shard_chips");
             break;
           default:
-            std::fprintf(stderr,
-                         "population_grid: unexpected argument '%s'\n", arg);
-            return 2;
+            throw std::invalid_argument("unexpected argument '" + arg + "'");
         }
       }
     }
+  } catch (const std::invalid_argument& e) {
+    return usage(argv[0], e.what());
+  }
 
+  try {
     std::unique_ptr<TraceSink> sink;
     if (const char* env = std::getenv("PCS_TRACE")) {
       sink = make_trace_sink(env);
       emit_trace_header(*sink);
     }
-
-    const BerModel ber(Technology::soi45());
-    const PopulationGridEngine engine(ber, pcs_thread_count());
-    CheckpointOptions ckpt;
-    ckpt.path = checkpoint;
-    ckpt.every_shards = checkpoint_shards;
-    ckpt.resume = resume;
+    // --checkpoint-stop-after: tear the process down after the Nth sidecar
+    // write (exit 3) so the CI smoke can resume a genuinely torn run.
     u64 saves = 0;
+    CheckpointHook stop_hook;
     if (stop_after > 0) {
-      // Test hook: tear the process down after the Nth sidecar write (exit
-      // 3) so the CI smoke can resume a genuinely torn run.
-      ckpt.on_checkpoint = [&](u64) {
+      stop_hook = [&](u64) {
         if (++saves >= stop_after) std::_Exit(3);
       };
     }
-    const PopulationGridResult result = engine.run(
-        spec, sink.get(), ckpt.path.empty() ? nullptr : &ckpt);
-    render_population_grid_report(spec, result, std::cout);
+    // Same run + render path as a service-mode "population_grid" job.
+    const PopulationGridResult result = run_population_grid_job(
+        job, std::cout, pcs_thread_count(), sink.get(), stop_hook);
 
     if (!out_dir.empty()) {
       // One standalone-equivalent report per point: the render path and the
       // (spec, result) pair are exactly chip_binning's, so the bytes match
       // `chip_binning chips size assoc seed shard_chips sigma`.
+      // Points are size-major with sigma innermost, so a point's sigma
+      // index is its position modulo the sigma-axis length.
       std::filesystem::create_directories(out_dir);
-      for (const PopulationGridPointResult& pt : result.points) {
-        std::size_t gi = 0;
-        const std::vector<Volt> sigmas = spec.sigma_axis(ber.sigma());
-        while (gi < sigmas.size() && sigmas[gi] != pt.sigma) ++gi;
+      const std::size_t num_sigmas =
+          spec.sigmas.empty() ? 1 : spec.sigmas.size();
+      for (std::size_t p = 0; p < result.points.size(); ++p) {
+        const PopulationGridPointResult& pt = result.points[p];
         char name[128];
         std::snprintf(name, sizeof name, "point_%llukb_%uw_s%zu.txt",
                       static_cast<unsigned long long>(pt.size_kb), pt.assoc,
-                      gi);
+                      p % num_sigmas);
         const std::string path = out_dir + "/" + name;
         std::ofstream f(path, std::ios::binary | std::ios::trunc);
         if (!f) {

@@ -1,8 +1,6 @@
 #include "core/dynamic_policy.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace pcs {
@@ -85,14 +83,6 @@ u32 DpcsPolicy::on_interval(const PolicyInput& input) {
           : 0.0;
   const double predicted = caat + deep_rate * params_.miss_penalty;
   telem_.predicted_aat = predicted;
-
-  static const bool trace = std::getenv("PCS_POLICY_TRACE") != nullptr;
-  if (trace) {
-    std::fprintf(stderr,
-                 "[dpcs] cnt=%u lvl=%u caat=%.2f pred=%.2f naat=%.2f tp=%.2f\n",
-                 interval_count_, input.current_level, caat, predicted, naat_,
-                 tp);
-  }
 
   if (caat > (1.0 + params_.high_threshold) * (naat_ + tp)) {
     want = std::min(input.current_level + 1, spcs_level_);

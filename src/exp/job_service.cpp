@@ -4,7 +4,9 @@
 // POPULATION.md).
 #include "exp/job_service.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -255,7 +257,8 @@ std::string_view trim(std::string_view s) {
 
 // Axis keys hold comma-separated lists inside a JSON string (the job lines
 // stay flat); empty items and trailing commas are rejected.
-std::vector<std::string> split_list(const std::string& s, const char* key) {
+std::vector<std::string> split_list(const std::string& s,
+                                    const std::string& what) {
   std::vector<std::string> items;
   std::size_t start = 0;
   for (;;) {
@@ -264,8 +267,7 @@ std::vector<std::string> split_list(const std::string& s, const char* key) {
         start, comma == std::string::npos ? std::string::npos
                                           : comma - start)));
     if (item.empty()) {
-      bad_job(std::string("job key '") + key +
-              "': expected a comma-separated list with no empty items");
+      bad_job(what + ": empty item in list '" + s + "'");
     }
     items.push_back(item);
     if (comma == std::string::npos) break;
@@ -274,35 +276,61 @@ std::vector<std::string> split_list(const std::string& s, const char* key) {
   return items;
 }
 
-std::vector<u64> parse_u64_list(const std::string& s, const char* key) {
-  std::vector<u64> out;
-  for (const std::string& item : split_list(s, key)) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      bad_job(std::string("job key '") + key + "': malformed integer '" +
-              item + "'");
-    }
-    out.push_back(static_cast<u64>(v));
-  }
-  return out;
-}
-
-std::vector<double> parse_real_list(const std::string& s, const char* key) {
-  std::vector<double> out;
-  for (const std::string& item : split_list(s, key)) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      bad_job(std::string("job key '") + key + "': malformed number '" +
-              item + "'");
-    }
-    out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace
+
+u64 parse_u64_token(const std::string& text, const std::string& what) {
+  // strtoull alone would skip whitespace, accept a sign (and wrap "-1" to
+  // 2^64-1) and stop at the first non-digit; demand digits only.
+  if (text.empty() ||
+      !std::all_of(text.begin(), text.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+      })) {
+    bad_job(what + ": malformed integer '" + text + "'");
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) {
+    bad_job(what + ": integer '" + text + "' out of range");
+  }
+  return static_cast<u64>(v);
+}
+
+double parse_real_token(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() ||
+      std::isspace(static_cast<unsigned char>(text.front())) != 0 ||
+      end != text.c_str() + text.size() || !std::isfinite(v)) {
+    bad_job(what + ": malformed number '" + text + "'");
+  }
+  return v;
+}
+
+std::vector<u64> parse_u64_list(const std::string& text,
+                                const std::string& what) {
+  std::vector<u64> out;
+  for (const std::string& item : split_list(text, what)) {
+    out.push_back(parse_u64_token(item, what));
+  }
+  return out;
+}
+
+std::vector<double> parse_real_list(const std::string& text,
+                                    const std::string& what) {
+  std::vector<double> out;
+  for (const std::string& item : split_list(text, what)) {
+    out.push_back(parse_real_token(item, what));
+  }
+  return out;
+}
+
+u32 checked_assoc(u64 ways, const std::string& what) {
+  if (ways == 0 || ways > 0xffffffffULL) {
+    bad_job(what + ": associativity " + std::to_string(ways) +
+            " out of range");
+  }
+  return static_cast<u32>(ways);
+}
 
 Job parse_job_line(const std::string& line) {
   const JsonObj o = parse_flat_json(line);
@@ -337,7 +365,7 @@ Job parse_job_line(const std::string& line) {
     p.spec.num_chips = jnum(o, "chips", p.spec.num_chips);
     p.spec.org.size_bytes = jnum(o, "size_kb", 64) * 1024;
     p.spec.org.assoc =
-        static_cast<u32>(jnum(o, "assoc", p.spec.org.assoc));
+        checked_assoc(jnum(o, "assoc", p.spec.org.assoc), "job key 'assoc'");
     p.spec.seed = jnum(o, "seed", p.spec.seed);
     p.spec.chips_per_shard =
         jnum(o, "shard_chips", p.spec.chips_per_shard);
@@ -368,22 +396,17 @@ Job parse_job_line(const std::string& line) {
     b.grid_hi = jreal(o, "grid_hi", b.grid_hi);
     b.grid_step = jreal(o, "grid_step", b.grid_step);
     b.spcs_min_capacity = jreal(o, "min_capacity", b.spcs_min_capacity);
-    g.spec.sizes_kb = parse_u64_list(jstr(o, "sizes_kb", "64"), "sizes_kb");
-    {
-      const std::vector<u64> assocs =
-          parse_u64_list(jstr(o, "assocs", "4"), "assocs");
-      g.spec.assocs.clear();
-      for (const u64 a : assocs) {
-        if (a == 0 || a > 0xffffffffULL) {
-          bad_job("job key 'assocs': associativity out of range");
-        }
-        g.spec.assocs.push_back(static_cast<u32>(a));
-      }
+    g.spec.sizes_kb =
+        parse_u64_list(jstr(o, "sizes_kb", "64"), "job key 'sizes_kb'");
+    g.spec.assocs.clear();
+    for (const u64 a :
+         parse_u64_list(jstr(o, "assocs", "4"), "job key 'assocs'")) {
+      g.spec.assocs.push_back(checked_assoc(a, "job key 'assocs'"));
     }
     {
       const std::string sigmas = jstr(o, "sigmas", "");
       if (!sigmas.empty()) {
-        g.spec.sigmas = parse_real_list(sigmas, "sigmas");
+        g.spec.sigmas = parse_real_list(sigmas, "job key 'sigmas'");
       }
     }
     g.out = jstr(o, "out", "");
@@ -506,48 +529,63 @@ void run_sim_job(const SimJobSpec& o, std::ostream& out, u32 num_threads,
   }
 }
 
-namespace {
-
-// sigma == 0 keeps the full soi45 calibration; otherwise only sigma is
-// overridden (mu stays at the soi45 anchor), matching chip_binning's
-// optional [sigma] argument.
-BerModel job_ber_model(Volt sigma) {
-  const Technology tech = Technology::soi45();
-  if (sigma == 0.0) return BerModel(tech);
-  return BerModel(tech.ber_mu, sigma);
+PopulationGridSpec population_job_grid(const PopulationJobSpec& j) {
+  if (j.spec.org.size_bytes % 1024 != 0) {
+    throw std::invalid_argument(
+        "population job cache size must be a whole number of KB");
+  }
+  PopulationGridSpec grid;
+  grid.base = j.spec;
+  grid.sizes_kb = {j.spec.org.size_bytes / 1024};
+  grid.assocs = {j.spec.org.assoc};
+  // sigma == 0 keeps the full soi45 calibration; otherwise only sigma is
+  // overridden (mu stays at the soi45 anchor).
+  if (j.sigma != 0.0) grid.sigmas = {j.sigma};
+  return grid;
 }
 
-CheckpointOptions job_checkpoint(const std::string& path, u64 every_shards,
-                                 bool resume) {
+namespace {
+
+PopulationGridResult run_grid(const PopulationGridSpec& spec,
+                              const std::string& checkpoint,
+                              u64 checkpoint_shards, bool resume,
+                              u32 num_threads, TraceSink* trace,
+                              const CheckpointHook& on_checkpoint) {
+  const BerModel ber(Technology::soi45());
+  const PopulationGridEngine engine(ber, num_threads);
   CheckpointOptions ckpt;
-  ckpt.path = path;
-  ckpt.every_shards = every_shards;
+  ckpt.path = checkpoint;
+  ckpt.every_shards = checkpoint_shards;
   ckpt.resume = resume;
-  return ckpt;
+  ckpt.on_checkpoint = on_checkpoint;
+  return engine.run(spec, trace, ckpt.path.empty() ? nullptr : &ckpt);
 }
 
 }  // namespace
 
-void run_population_job(const PopulationJobSpec& j, std::ostream& out,
-                        u32 num_threads, TraceSink* trace) {
-  const BerModel ber = job_ber_model(j.sigma);
-  const PopulationEngine engine(ber, num_threads);
-  const CheckpointOptions ckpt =
-      job_checkpoint(j.checkpoint, j.checkpoint_shards, j.resume);
-  const PopulationResult result =
-      engine.run(j.spec, trace, ckpt.path.empty() ? nullptr : &ckpt);
-  render_population_report(j.spec, result, out);
+PopulationResult run_population_job(const PopulationJobSpec& j,
+                                    std::ostream& out, u32 num_threads,
+                                    TraceSink* trace,
+                                    const CheckpointHook& on_checkpoint) {
+  const PopulationGridSpec grid = population_job_grid(j);
+  PopulationResult result =
+      std::move(run_grid(grid, j.checkpoint, j.checkpoint_shards, j.resume,
+                         num_threads, trace, on_checkpoint)
+                    .points.front()
+                    .result);
+  render_population_report(grid.point_spec(grid.sizes_kb[0], grid.assocs[0]),
+                           result, out);
+  return result;
 }
 
-void run_population_grid_job(const PopulationGridJobSpec& j, std::ostream& out,
-                             u32 num_threads, TraceSink* trace) {
-  const BerModel ber(Technology::soi45());
-  const PopulationGridEngine engine(ber, num_threads);
-  const CheckpointOptions ckpt =
-      job_checkpoint(j.checkpoint, j.checkpoint_shards, j.resume);
-  const PopulationGridResult result =
-      engine.run(j.spec, trace, ckpt.path.empty() ? nullptr : &ckpt);
+PopulationGridResult run_population_grid_job(
+    const PopulationGridJobSpec& j, std::ostream& out, u32 num_threads,
+    TraceSink* trace, const CheckpointHook& on_checkpoint) {
+  PopulationGridResult result =
+      run_grid(j.spec, j.checkpoint, j.checkpoint_shards, j.resume,
+               num_threads, trace, on_checkpoint);
   render_population_grid_report(j.spec, result, out);
+  return result;
 }
 
 void run_trace_replay_job(const TraceReplayJobSpec& j, std::ostream& out,

@@ -26,12 +26,12 @@
 // subsystem against POPULATION.md's ```job-schema block.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "exp/population_engine.hpp"
 #include "exp/population_grid.hpp"
 #include "telemetry/trace_sink.hpp"
 #include "util/types.hpp"
@@ -54,7 +54,8 @@ struct SimJobSpec {
   std::string trace_path;  ///< per-job telemetry trace ("" = none)
 };
 
-/// One population/binning run (kind "population"), see population_engine.
+/// One population/binning run (kind "population"): a single design, run as
+/// a singleton grid (population_job_grid).
 struct PopulationJobSpec {
   std::string id;
   PopulationSpec spec;
@@ -149,6 +150,26 @@ struct Job {
 /// schema table.
 Job parse_job_line(const std::string& line);
 
+// Numeric text shared by the job schema's list keys and the population
+// CLIs' arguments. Each parser takes a whole token or rejects it: no sign
+// on integers, no surrounding whitespace, no trailing characters, no
+// overflow, no inf/nan. Failures throw std::invalid_argument whose message
+// starts with `what` (a job key or a CLI argument name) and quotes the
+// offending item.
+u64 parse_u64_token(const std::string& text, const std::string& what);
+double parse_real_token(const std::string& text, const std::string& what);
+
+/// Comma-separated lists of the tokens above ("32,64"); items may carry
+/// surrounding spaces, empty items and trailing commas are rejected.
+std::vector<u64> parse_u64_list(const std::string& text,
+                                const std::string& what);
+std::vector<double> parse_real_list(const std::string& text,
+                                    const std::string& what);
+
+/// Narrows an associativity to u32, rejecting 0 and anything above
+/// 2^32 - 1 (std::invalid_argument naming `what`).
+u32 checked_assoc(u64 ways, const std::string& what);
+
 /// Runs one simulator job and renders the report to `out` -- byte-identical
 /// to `pcs_sim` with the equivalent flags (this IS pcs_sim's run path).
 /// `num_threads` fans the independent policy runs; results are identical at
@@ -158,17 +179,31 @@ Job parse_job_line(const std::string& line);
 void run_sim_job(const SimJobSpec& spec, std::ostream& out, u32 num_threads,
                  TraceSink* trace = nullptr);
 
-/// Runs one population job and renders the binning report to `out` --
-/// byte-identical to `chip_binning` with the equivalent arguments.
-void run_population_job(const PopulationJobSpec& spec, std::ostream& out,
-                        u32 num_threads, TraceSink* trace = nullptr);
+/// Checkpoint test hook, passed through to CheckpointOptions::on_checkpoint
+/// (the CLIs' --checkpoint-stop-after; tests throw or _exit() from it).
+using CheckpointHook = std::function<void(u64)>;
 
-/// Runs one grid job and renders the grid summary to `out` -- byte-identical
-/// to `population_grid` with the equivalent arguments, and every point
-/// bit-identical to its standalone population run.
-void run_population_grid_job(const PopulationGridJobSpec& spec,
-                             std::ostream& out, u32 num_threads,
-                             TraceSink* trace = nullptr);
+/// The 1x1x1 grid a population job runs as: the job's spec as the base, its
+/// size and associativity as the only points of those axes, and its sigma
+/// as the sigma axis (empty for sigma 0, i.e. the soi45 calibration).
+/// Throws std::invalid_argument if the cache size is not a whole number of
+/// KB (the grid's size axis is in KB).
+PopulationGridSpec population_job_grid(const PopulationJobSpec& spec);
+
+/// Runs one population job on PopulationGridEngine (as population_job_grid)
+/// and renders the binning report to `out` -- this IS chip_binning's run
+/// path. Returns the fleet distributions it rendered.
+PopulationResult run_population_job(const PopulationJobSpec& spec,
+                                    std::ostream& out, u32 num_threads,
+                                    TraceSink* trace = nullptr,
+                                    const CheckpointHook& on_checkpoint = {});
+
+/// Runs one grid job and renders the grid summary to `out` -- this IS
+/// population_grid's run path, and every point is bit-identical to its
+/// standalone population run. Returns the per-point results it rendered.
+PopulationGridResult run_population_grid_job(
+    const PopulationGridJobSpec& spec, std::ostream& out, u32 num_threads,
+    TraceSink* trace = nullptr, const CheckpointHook& on_checkpoint = {});
 
 /// Runs one trace-replay job: exactly a "sim" job whose workload is the
 /// recorded file, so the output is byte-identical to

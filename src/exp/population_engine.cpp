@@ -11,9 +11,7 @@
 #include <utility>
 
 #include "exp/sweep_engine.hpp"
-#include "exp/thread_pool.hpp"
 #include "tech/leakage_model.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace pcs {
@@ -335,107 +333,6 @@ bool try_load_population_checkpoint(const std::string& path, u64 fingerprint,
                  e.what());
     return false;
   }
-}
-
-// ---- Engine ----------------------------------------------------------------
-
-PopulationEngine::PopulationEngine(const BerModel& ber, u32 num_threads)
-    : ber_(&ber),
-      num_threads_(num_threads == 0 ? pcs_thread_count() : num_threads) {}
-
-namespace {
-
-std::string population_canonical(const PopulationSpec& spec, Volt mu,
-                                 Volt sigma) {
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "population|v1|mu=%.17g|sigma=%.17g|size=%llu|assoc=%u|"
-                "block=%u|chips=%llu|seed=%llu|lo=%.17g|hi=%.17g|step=%.17g|"
-                "mincap=%.17g|shard=%llu",
-                mu, sigma,
-                static_cast<unsigned long long>(spec.org.size_bytes),
-                spec.org.assoc, spec.org.block_bytes,
-                static_cast<unsigned long long>(spec.num_chips),
-                static_cast<unsigned long long>(spec.seed), spec.grid_lo,
-                spec.grid_hi, spec.grid_step, spec.spcs_min_capacity,
-                static_cast<unsigned long long>(spec.chips_per_shard));
-  return buf;
-}
-
-}  // namespace
-
-PopulationResult PopulationEngine::run(const PopulationSpec& spec,
-                                       TraceSink* trace,
-                                       const CheckpointOptions* ckpt) const {
-  spec.org.validate();
-  const std::vector<Volt> grid = spec.grid();
-  const u64 per_shard = std::max<u64>(1, spec.chips_per_shard);
-  const u64 num_shards =
-      spec.num_chips == 0 ? 0 : (spec.num_chips + per_shard - 1) / per_shard;
-
-  PopulationResult merged = make_empty_population_result(grid);
-  const bool checkpointing = ckpt != nullptr && !ckpt->path.empty();
-  const u64 fp = checkpointing
-                     ? population_fingerprint(population_canonical(
-                           spec, ber_->mu(), ber_->sigma()))
-                     : 0;
-  u64 start_shard = 0;
-  if (checkpointing && ckpt->resume) {
-    std::vector<PopulationResult> parts(1, merged);
-    u64 done = 0;
-    if (try_load_population_checkpoint(ckpt->path, fp, done, parts,
-                                       ckpt->strict_resume)) {
-      if (done > num_shards) {
-        if (ckpt->strict_resume) {
-          throw std::runtime_error("population checkpoint '" + ckpt->path +
-                                   "': watermark past the end of the run");
-        }
-        std::fprintf(stderr,
-                     "pcs: checkpoint sidecar rejected, starting fresh: "
-                     "watermark past the end of the run\n");
-      } else {
-        start_shard = done;
-        merged = std::move(parts[0]);
-      }
-    }
-  }
-
-  // Each shard folds its chips into integer histograms; chip c's RNG seed
-  // depends only on (spec.seed, c), so neither the shard size nor the
-  // thread count can change which dies get manufactured.
-  const auto shard_task = [&](u64 s) {
-    PopulationResult part = make_empty_population_result(grid);
-    const u64 first = s * per_shard;
-    const u64 end = std::min(spec.num_chips, first + per_shard);
-    for (u64 c = first; c < end; ++c) {
-      Rng rng(derive_seed(spec.seed, 0, c));
-      CellFaultField field = CellFaultField::sample_fast(
-          *ber_, spec.org.num_blocks(), spec.org.bits_per_block(), rng);
-      accumulate_chip(part,
-                      bin_chip(field, spec.org, grid, spec.spcs_min_capacity));
-    }
-    return part;
-  };
-  run_population_shards(
-      num_threads_, start_shard, num_shards, ckpt, shard_task,
-      [&](u64 s, const PopulationResult& part) {
-        if (trace != nullptr) {
-          // Deterministic section: shard records in shard order, counts
-          // only (resumed runs cover just the shards they ran).
-          trace->emit(TraceRecord("population_shard")
-                          .field("shard", s)
-                          .field("first_chip", s * per_shard)
-                          .field("chips", part.num_chips)
-                          .field("unusable", part.unusable));
-        }
-        merged.merge(part);
-      },
-      [&](u64 done) {
-        save_population_checkpoint(ckpt->path, fp, done,
-                                   std::span<const PopulationResult>(&merged,
-                                                                     1));
-      });
-  return merged;
 }
 
 void render_population_report(const PopulationSpec& spec,

@@ -1,12 +1,15 @@
-// Fleet-scale chip-population engine.
+// Fleet-scale chip-population model: specs, per-die kernels, histograms,
+// checkpoint sidecars and the binning report.
 //
 // The paper's Fig. 3 / Fig. 5 story is a *population* claim: yield and
 // energy savings are distributions over process-variation chip instances,
-// not properties of one die. This engine simulates millions of manufactured
-// dies of one cache design and reduces them to fleet-level distributions --
-// per-die minimum operating voltage (the DPCS floor), per-die SPCS binning
-// voltage, yield vs VDD, and effective capacity at the floor -- plus the
-// per-bin DPCS ladder tuning the binning report derives from them.
+// not properties of one die. A population run manufactures many dies of one
+// cache design and reduces them to fleet-level distributions -- per-die
+// minimum operating voltage (the DPCS floor), per-die SPCS binning voltage,
+// yield vs VDD, and effective capacity at the floor -- plus the per-bin DPCS
+// ladder tuning the binning report derives from them. PopulationGridEngine
+// (population_grid.hpp) is the one executor; a single-design run is a
+// singleton grid (run_population_job in job_service.hpp).
 //
 // Scale contract (POPULATION.md is the operator-facing spec):
 //
@@ -23,11 +26,11 @@
 //   * Derived statistics (means, quantiles, yield curves) are computed from
 //     the histograms by fixed-order folds, inheriting the same determinism.
 //
-// The per-chip inner loop is the PR 6 fused Monte-Carlo kernel: one
-// CellFaultField::sample_fast draw per die, chip_fail_voltage() for the
-// viability floor (one scalar encodes pass/fail at every voltage), and one
-// histogram pass over the block fail voltages for every level's capacity
-// behind the SPCS level search.
+// bin_chip is the per-die kernel in its plain form (one
+// CellFaultField::sample_fast draw, chip_fail_voltage() for the viability
+// floor, one histogram pass over the block fail voltages for every level's
+// capacity); the grid engine runs the same kernel split into
+// count_fail_rungs + bin_from_fail_summary over shared draws.
 #pragma once
 
 #include <functional>
@@ -41,9 +44,7 @@
 
 #include "cachemodel/cache_org.hpp"
 #include "exp/thread_pool.hpp"
-#include "fault/ber_model.hpp"
 #include "fault/cell_fault_field.hpp"
-#include "telemetry/trace_sink.hpp"
 #include "util/types.hpp"
 
 namespace pcs {
@@ -53,7 +54,8 @@ inline constexpr u32 kPopulationCapacityBins = 100;
 
 /// One population run, fully specified. Every field participates in the
 /// determinism contract except `chips_per_shard`, which must not change any
-/// result (asserted by tests/test_population.cpp).
+/// result (asserted by tests/test_population.cpp). It is also the base of
+/// every PopulationGridSpec.
 struct PopulationSpec {
   CacheOrg org{64 * 1024, 4, 64, 31};
   u64 num_chips = 10'000;
@@ -84,7 +86,8 @@ struct ChipBinPoint {
 /// Bins one manufactured die against a VDD ladder: viability floor via the
 /// fused fail-voltage kernel, then every level's effective capacity from a
 /// single histogram pass over the per-block fail voltages (no sort, no
-/// dense FaultMap). Exposed for tests and the micro-benchmarks.
+/// dense FaultMap). The serial reference the tests compare the grid engine
+/// against, and the micro-benchmarks' per-die kernel.
 ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
                       std::span<const Volt> grid, double min_capacity);
 
@@ -103,8 +106,8 @@ void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
 /// `faulty_at` (size grid.size() + 2, 1-based levels) for a cache of
 /// `num_blocks` blocks. bin_chip == count_fail_rungs + suffix sum + this;
 /// the grid engine calls it once per (size, assoc, sigma) point over shared
-/// summaries, which is what keeps every grid point bit-identical to its
-/// standalone run.
+/// summaries, which is what keeps every grid point bit-identical to the
+/// serial bin_chip reference.
 ChipBinPoint bin_from_fail_summary(float vf_chip,
                                    std::span<const u64> faulty_at,
                                    u64 num_blocks, std::span<const Volt> grid,
@@ -153,7 +156,7 @@ PopulationResult make_empty_population_result(std::vector<Volt> grid);
 void accumulate_chip(PopulationResult& r, const ChipBinPoint& p);
 
 /// Shard-range checkpointing (POPULATION.md "checkpoint / resume"). With a
-/// non-empty `path` the engine serializes the merged integer histograms
+/// non-empty `path` the grid engine serializes the merged integer histograms
 /// plus a completed-shard watermark to the sidecar after every
 /// `every_shards` merged shards and once at run end (written to a ".tmp"
 /// sibling and renamed into place, so a kill mid-write never corrupts an
@@ -179,14 +182,13 @@ struct CheckpointOptions {
   std::function<void(u64)> on_checkpoint;
 };
 
-/// FNV-1a 64 over a canonical run description (engines build the string;
-/// the sidecar stores the hash so resumes refuse mismatched runs).
+/// FNV-1a 64 over a canonical run description (the grid engine builds the
+/// string; the sidecar stores the hash so resumes refuse mismatched runs).
 u64 population_fingerprint(std::string_view canonical);
 
 /// Writes a checkpoint sidecar: `parts` is the in-order merged state so
-/// far (one entry for PopulationEngine, one per grid point for the grid
-/// engine). Atomic via `path`.tmp + rename; throws std::runtime_error on
-/// I/O failure.
+/// far (one entry per grid point). Atomic via `path`.tmp + rename; throws
+/// std::runtime_error on I/O failure.
 void save_population_checkpoint(const std::string& path, u64 fingerprint,
                                 u64 shards_done,
                                 std::span<const PopulationResult> parts);
@@ -211,9 +213,9 @@ bool try_load_population_checkpoint(const std::string& path, u64 fingerprint,
                                     std::vector<PopulationResult>& parts,
                                     bool strict);
 
-/// Shard scheduler shared by PopulationEngine and PopulationGridEngine:
-/// evaluates `shard(s)` for s in [start_shard, num_shards) across the pool
-/// and hands the parts to `merge(s, part)` IN SHARD ORDER. (Integer
+/// Shard scheduler behind PopulationGridEngine::run: evaluates `shard(s)`
+/// for s in [start_shard, num_shards) across the pool and hands the parts
+/// to `merge(s, part)` IN SHARD ORDER. (Integer
 /// addition makes the merged result order-independent; in-order merging is
 /// what gives the checkpoint watermark its "completed prefix" meaning and
 /// keeps telemetry emission deterministic.) `save(shards_done)` runs after
@@ -255,33 +257,12 @@ void run_population_shards(u32 num_threads, u64 start_shard, u64 num_shards,
   }
 }
 
-/// Runs populations across the deterministic ThreadPool.
-class PopulationEngine {
- public:
-  /// `ber` must outlive the engine. `num_threads` 0 = pcs_thread_count().
-  explicit PopulationEngine(const BerModel& ber, u32 num_threads = 0);
-
-  u32 num_threads() const noexcept { return num_threads_; }
-  const BerModel& ber() const noexcept { return *ber_; }
-
-  /// Simulates spec.num_chips dies and returns the merged distributions.
-  /// When `trace` is non-null, one deterministic `population_shard` record
-  /// is emitted per shard, in shard order (see TELEMETRY.md); a resumed run
-  /// emits records only for the shards it actually ran. `ckpt` enables
-  /// shard-range checkpoint/resume (see CheckpointOptions).
-  PopulationResult run(const PopulationSpec& spec, TraceSink* trace = nullptr,
-                       const CheckpointOptions* ckpt = nullptr) const;
-
- private:
-  const BerModel* ber_;
-  u32 num_threads_;
-};
-
 /// Renders the operator-facing binning report (yield curve, min-VDD /
 /// SPCS-VDD distributions, per-bin DPCS ladder table) to `out`. The bytes
-/// depend only on (spec, result) -- examples/chip_binning and the pcs_sim
-/// service mode share this renderer, which is what makes a service job's
-/// output byte-identical to the standalone run (POPULATION.md).
+/// depend only on (spec, result) -- run_population_job (chip_binning and
+/// the pcs_sim service mode) and population_grid --out-dir share this
+/// renderer, which is what makes a service job's output and a grid point's
+/// report byte-identical to the standalone run (POPULATION.md).
 void render_population_report(const PopulationSpec& spec,
                               const PopulationResult& result,
                               std::ostream& out);

@@ -1,12 +1,13 @@
 // Sample-once population grid engine.
 //
 // POPULATION.md's grid runs evaluate one manufactured fleet against a full
-// (size_kb x assoc x sigma) design grid. Running PopulationEngine once per
-// grid point re-manufactures the SAME dies G times: chip c's draws depend
-// only on (seed, c), and the expensive part of manufacturing -- the
-// log/expm1/inv-Q order-statistic chain -- does not depend on the grid axes
-// at all. This engine samples each die ONCE per shard pass and derives
-// every grid point from the shared draws:
+// (size_kb x assoc x sigma) design grid; a single-design population run
+// (chip_binning, the `population` job kind) is the 1x1x1 case. Running
+// each grid point separately would re-manufacture the SAME dies G times:
+// chip c's draws depend only on (seed, c), and the expensive part of
+// manufacturing -- the log/expm1/inv-Q order-statistic chain -- does not
+// depend on the grid axes at all. This engine samples each die ONCE per
+// shard pass and derives every grid point from the shared draws:
 //
 //   * sigma axis: vf = float(mu + sigma * z(u, n)) where z is the
 //     (mu, sigma)-independent order-statistic normal deviate
@@ -20,14 +21,15 @@
 //     per-level fault histogram grows incrementally (count_fail_rungs is
 //     additive over block ranges, sizes visited in ascending block order).
 //   * assoc axis: associativity affects only the min/max fold of
-//     chip_fail_voltage (same span-based kernel as the standalone engine),
-//     never the draws or the fault histogram.
+//     chip_fail_voltage (the same span-based kernel bin_chip uses), never
+//     the draws or the fault histogram.
 //
-// Every per-point PopulationResult is therefore BIT-IDENTICAL to a
-// standalone PopulationEngine run of that point's spec with the same seed
-// (asserted per point by tests/test_population_grid.cpp and the CI grid
-// determinism smoke), at any thread count and any shard size -- the grid
-// engine inherits the shard/merge determinism contract unchanged, including
+// Every per-point PopulationResult is therefore BIT-IDENTICAL to a serial
+// per-die loop over that point's spec with the same seed (sample_fast +
+// bin_chip + accumulate_chip; asserted per point by
+// tests/test_population_grid.cpp, and by the CI grid determinism smoke
+// against chip_binning), at any thread count and any shard size -- the
+// shard/merge determinism contract of population_engine.hpp, including
 // shard-range checkpoint/resume (CheckpointOptions; one histogram set per
 // grid point in the sidecar).
 #pragma once
@@ -36,6 +38,8 @@
 #include <vector>
 
 #include "exp/population_engine.hpp"
+#include "fault/ber_model.hpp"
+#include "telemetry/trace_sink.hpp"
 
 namespace pcs {
 
@@ -63,8 +67,8 @@ struct PopulationGridSpec {
   /// The base org resized to one grid cell.
   CacheOrg org_for(u64 size_kb, u32 assoc) const;
 
-  /// The standalone PopulationSpec of one grid point (what a per-point
-  /// PopulationEngine run would take; tests compare against it).
+  /// The single-design PopulationSpec of one grid point (what its report
+  /// header and the serial test reference take).
   PopulationSpec point_spec(u64 size_kb, u32 assoc) const;
 
   u64 num_points() const noexcept {
@@ -100,8 +104,8 @@ class PopulationGridEngine {
   /// Evaluates every grid point over the shared fleet. When `trace` is
   /// non-null, one deterministic `population_grid_point` record is emitted
   /// per point, in point order, after the run (see TELEMETRY.md). `ckpt`
-  /// enables shard-range checkpoint/resume exactly as in
-  /// PopulationEngine::run; the sidecar holds one histogram set per point.
+  /// enables shard-range checkpoint/resume (see CheckpointOptions); the
+  /// sidecar holds one histogram set per point.
   PopulationGridResult run(const PopulationGridSpec& spec,
                            TraceSink* trace = nullptr,
                            const CheckpointOptions* ckpt = nullptr) const;

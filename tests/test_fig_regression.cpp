@@ -13,7 +13,7 @@
 
 #include "core/system.hpp"
 #include "exp/experiment_runner.hpp"
-#include "exp/population_engine.hpp"
+#include "exp/population_grid.hpp"
 #include "exp/sweep_engine.hpp"
 #include "fault/ber_model.hpp"
 #include "util/rng.hpp"
@@ -140,10 +140,10 @@ TEST_F(FigRegression, ReportsAreInternallyConsistent) {
   }
 }
 
-// The --sweep-lanes path must reproduce the golden grid bit for bit: the
-// fig4 bench routed through SweepRunner is the same figure, so every field
-// of every SimReport (energy breakdowns included) has to match the scalar
-// goldens at 1 thread and at 8.
+// The lane engine must reproduce the golden grid bit for bit: the fig4
+// bench runs through SweepRunner, so every field of every SimReport
+// (energy breakdowns included) has to match the scalar goldens at 1 thread
+// and at 8.
 TEST_F(FigRegression, SweepEngineReproducesGoldenGrid) {
   for (const u32 threads : {1u, 8u}) {
     SweepOptions opt;
@@ -159,16 +159,17 @@ TEST_F(FigRegression, SweepEngineReproducesGoldenGrid) {
 }
 
 // Same pin for the fig3d Monte-Carlo path: the sweep engine's fused
-// kernels must equal the bench's inline scalar kernel die for die, and the
-// one-pass yield counts must equal the per-voltage count_if scans, at 1
-// and 8 threads.
+// kernels (the only path bench/fig3_yield runs) must equal a plain per-die
+// scalar kernel die for die, and the one-pass yield counts must equal
+// per-voltage count_if scans, at 1 and 8 threads.
 TEST_F(FigRegression, SweepYieldKernelsReproduceFig3Goldens) {
   const auto tech = Technology::soi45();
   const CacheOrg org{64 * 1024, 4, 64, 31};  // L1 Config A, as in the bench
   BerModel ber(tech);
   const u64 trials = 256, mc_seed = 7;
 
-  // Inline scalar kernel, verbatim from bench/fig3_yield.cpp.
+  // Scalar reference: max over sets of the min over ways of the block fail
+  // voltages, read one block at a time.
   std::vector<float> want(trials);
   for (u64 i = 0; i < trials; ++i) {
     Rng rng(derive_seed(mc_seed, 0, i));
@@ -204,15 +205,18 @@ TEST_F(FigRegression, SweepYieldKernelsReproduceFig3Goldens) {
 
 // Golden pins for the fleet-population path (Fig. 3 / Fig. 5 as a
 // population claim): a 1000-die run of the default 64 KB 4-way design on
-// the default ladder, with the merged histograms pinned through exact
+// the default ladder -- a singleton grid on the grid engine, exactly as
+// chip_binning runs it -- with the merged histograms pinned through exact
 // integer counts and level-weighted checksums. The engine's determinism
 // contract makes these bit-stable at any thread count or shard size, so
 // any change here is a real model change, not scheduling noise.
 TEST(PopulationGolden, ThousandDieFleetPins) {
-  PopulationSpec spec;  // 64 KB 4-way, seed 2024, 0.45..1.00 V step 0.01
-  spec.num_chips = 1'000;
+  PopulationGridSpec spec;  // 64 KB 4-way, seed 2024, 0.45..1.00 V step 0.01
+  spec.base.num_chips = 1'000;
   const BerModel ber(Technology::soi45());
-  const PopulationResult r = PopulationEngine(ber, 8).run(spec);
+  const PopulationGridResult grid = PopulationGridEngine(ber, 8).run(spec);
+  ASSERT_EQ(grid.points.size(), 1u);
+  const PopulationResult& r = grid.points[0].result;
 
   ASSERT_EQ(r.num_levels(), 56u);
   EXPECT_EQ(r.num_chips, 1'000u);

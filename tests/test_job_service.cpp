@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -146,6 +147,80 @@ TEST(ParseJobLine, RejectsMalformedAndOffSchemaLines) {
   for (const char* line : bad) {
     EXPECT_THROW(parse_job_line(line), std::invalid_argument) << line;
   }
+}
+
+// Each rejected input must name the key (or CLI argument) and the offending
+// item, so an operator can find it in a long job file.
+std::string reject_message(const std::function<void()>& parse) {
+  try {
+    parse();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "input was accepted";
+  return "";
+}
+
+TEST(ParseJobLine, RejectMessagesNameTheKeyAndTheItem) {
+  const struct {
+    const char* line;
+    const char* message;
+  } cases[] = {
+      // strtoull alone would wrap "-1" to 2^64-1 and fail much later.
+      {R"({"kind": "population_grid", "sizes_kb": "-1"})",
+       "job key 'sizes_kb': malformed integer '-1'"},
+      {R"({"kind": "population_grid", "sizes_kb": "32,+64"})",
+       "job key 'sizes_kb': malformed integer '+64'"},
+      {R"({"kind": "population_grid", "sizes_kb": "32,,64"})",
+       "job key 'sizes_kb': empty item in list '32,,64'"},
+      {R"({"kind": "population_grid", "sizes_kb": "32,64,"})",
+       "job key 'sizes_kb': empty item in list '32,64,'"},
+      {R"({"kind": "population_grid", "sizes_kb": "32 64"})",
+       "job key 'sizes_kb': malformed integer '32 64'"},
+      {R"({"kind": "population_grid", "sizes_kb": "18446744073709551616"})",
+       "job key 'sizes_kb': integer '18446744073709551616' out of range"},
+      {R"({"kind": "population_grid", "assocs": "4,x"})",
+       "job key 'assocs': malformed integer 'x'"},
+      {R"({"kind": "population_grid", "assocs": "0"})",
+       "job key 'assocs': associativity 0 out of range"},
+      {R"({"kind": "population_grid", "assocs": "4294967296"})",
+       "job key 'assocs': associativity 4294967296 out of range"},
+      {R"({"kind": "population_grid", "sigmas": "0.1,abc"})",
+       "job key 'sigmas': malformed number 'abc'"},
+      {R"({"kind": "population_grid", "sigmas": "inf"})",
+       "job key 'sigmas': malformed number 'inf'"},
+      {R"({"kind": "population", "assoc": 4294967296})",
+       "job key 'assoc': associativity 4294967296 out of range"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(reject_message([&] { parse_job_line(c.line); }), c.message)
+        << c.line;
+  }
+}
+
+TEST(ParseNumericTokens, AcceptOnlyWholeTokens) {
+  EXPECT_EQ(parse_u64_token("2000", "num_chips"), 2000u);
+  EXPECT_EQ(parse_u64_token("18446744073709551615", "seed"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_real_token("0.1823", "sigma"), 0.1823);
+  EXPECT_EQ(parse_u64_list(" 32, 64 ", "--sizes"), (std::vector<u64>{32, 64}));
+  EXPECT_EQ(checked_assoc(4294967295ull, "assoc"), 4294967295u);
+
+  // chip_binning's positionals: "abc" must not silently mean 0 dies.
+  EXPECT_EQ(reject_message([] { parse_u64_token("abc", "num_chips"); }),
+            "num_chips: malformed integer 'abc'");
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1k", "0x10"}) {
+    EXPECT_EQ(reject_message([&] { parse_u64_token(bad, "num_chips"); }),
+              std::string("num_chips: malformed integer '") + bad + "'");
+  }
+  for (const char* bad : {"", "abc", " 0.1", "0.1 ", "0.1x", "nan", "inf"}) {
+    EXPECT_EQ(reject_message([&] { parse_real_token(bad, "sigma"); }),
+              std::string("sigma: malformed number '") + bad + "'");
+  }
+  EXPECT_EQ(reject_message([] { parse_u64_list("", "--sizes"); }),
+            "--sizes: empty item in list ''");
+  EXPECT_EQ(reject_message([] { checked_assoc(0, "assoc"); }),
+            "assoc: associativity 0 out of range");
 }
 
 // ---------------------------------------------------------------------------

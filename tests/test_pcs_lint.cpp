@@ -261,7 +261,7 @@ TEST(PcsLint, Inv002FiresOnMissingFieldOnly) {
   const Diagnostic& d =
       diag_at(bad, "INV002", "src/exp/inv002_fingerprint.cpp", 10);
   EXPECT_NE(d.message.find("'drift_mv'"), std::string::npos);
-  EXPECT_NE(d.message.find("population_canonical"), std::string::npos);
+  EXPECT_NE(d.message.find("grid_canonical"), std::string::npos);
   // good_tree carries the same struct with a complete canonical string and
   // is asserted clean in GoodTreeIsClean.
 }

@@ -1,20 +1,26 @@
-// Population engine: the fleet-scale determinism contract (merged results
-// and shard telemetry are invariant to thread count; merged results are
-// also invariant to shard size), the per-chip binning kernel against the
-// dense FaultMap reference, and the histogram-derived statistics.
+// Population runs: the fleet-scale determinism contract through the
+// population job path (a singleton grid on PopulationGridEngine -- merged
+// results, report bytes and telemetry are invariant to thread count and
+// shard size, and match the serial per-die reference), checkpoint/resume,
+// the per-chip binning kernel against the dense FaultMap reference, and
+// the histogram-derived statistics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "exp/job_service.hpp"
 #include "exp/population_engine.hpp"
 #include "exp/population_grid.hpp"
 #include "fault/ber_model.hpp"
 #include "fault/fault_map.hpp"
+#include "population_reference.hpp"
 #include "tech/technology.hpp"
 #include "telemetry/trace_sink.hpp"
 #include "util/rng.hpp"
@@ -96,81 +102,118 @@ TEST(BinChip, MatchesDenseFaultMapReference) {
 }
 
 // ---------------------------------------------------------------------------
-// The determinism contract
+// The determinism contract, through the population job path (a singleton
+// grid on PopulationGridEngine -- chip_binning's and the service's run path)
 
-TEST(PopulationEngine, ResultInvariantToThreadCountAndShardSize) {
-  PopulationSpec spec = small_spec(300);
-  const BerModel ber(Technology::soi45());
-  const PopulationResult reference = PopulationEngine(ber, 1).run(spec);
+PopulationJobSpec small_job(u64 chips) {
+  PopulationJobSpec job;
+  job.spec = small_spec(chips);
+  return job;
+}
+
+PopulationResult run_job(const PopulationJobSpec& job, u32 threads,
+                         TraceSink* trace = nullptr,
+                         const CheckpointHook& hook = {}) {
+  std::ostringstream report;
+  return run_population_job(job, report, threads, trace, hook);
+}
+
+std::string job_report(const PopulationJobSpec& job, u32 threads) {
+  std::ostringstream report;
+  run_population_job(job, report, threads);
+  return report.str();
+}
+
+TEST(PopulationJob, RunsAsASingletonGrid) {
+  PopulationJobSpec job = small_job(10);
+  job.spec.org.assoc = 8;
+  PopulationGridSpec grid = population_job_grid(job);
+  EXPECT_EQ(grid.sizes_kb, (std::vector<u64>{16}));
+  EXPECT_EQ(grid.assocs, (std::vector<u32>{8}));
+  EXPECT_TRUE(grid.sigmas.empty());  // sigma 0 = the soi45 calibration
+  EXPECT_EQ(grid.num_points(), 1u);
+  job.sigma = 0.1823;
+  grid = population_job_grid(job);
+  EXPECT_EQ(grid.sigmas, (std::vector<Volt>{0.1823}));
+  job.spec.org.size_bytes += 512;  // not a whole number of KB
+  EXPECT_THROW(population_job_grid(job), std::invalid_argument);
+}
+
+TEST(PopulationJob, ResultInvariantToThreadCountAndShardSize) {
+  PopulationJobSpec job = small_job(300);
+  const PopulationResult reference =
+      test::serial_population(BerModel(Technology::soi45()), job.spec);
 
   struct Case {
     u32 threads;
     u64 shard_chips;
   };
   for (const Case c : {Case{1, 17}, Case{3, 101}, Case{8, 4096}}) {
-    spec.chips_per_shard = c.shard_chips;
-    const PopulationResult got = PopulationEngine(ber, c.threads).run(spec);
-    EXPECT_EQ(got, reference)
+    job.spec.chips_per_shard = c.shard_chips;
+    EXPECT_EQ(run_job(job, c.threads), reference)
         << c.threads << " threads, " << c.shard_chips << " chips/shard";
   }
 }
 
-TEST(PopulationEngine, ShardTelemetryBytesInvariantToThreadCount) {
-  PopulationSpec spec = small_spec(200);
-  spec.chips_per_shard = 64;  // 4 shards (3 full + 1 partial of 8 chips)
-  const BerModel ber(Technology::soi45());
+TEST(PopulationJob, TelemetryBytesInvariantToThreadCount) {
+  PopulationJobSpec job = small_job(200);
+  job.spec.chips_per_shard = 64;  // 4 shards (3 full + 1 partial of 8 chips)
 
   std::string bytes[2];
   const u32 threads[2] = {1, 8};
   for (int i = 0; i < 2; ++i) {
     std::ostringstream out;
     JsonlTraceSink sink(out);
-    PopulationEngine(ber, threads[i]).run(spec, &sink);
+    run_job(job, threads[i], &sink);
     bytes[i] = out.str();
   }
   EXPECT_EQ(bytes[0], bytes[1]);
 
-  // One record per shard, in shard order, counting every chip exactly once.
+  // One population_grid_point record for the single point, counting every
+  // chip exactly once.
   MemoryTraceSink mem;
-  PopulationEngine(ber, 1).run(spec, &mem);
-  ASSERT_EQ(mem.records().size(), 4u);
-  u64 chips = 0;
-  for (std::size_t s = 0; s < mem.records().size(); ++s) {
-    const TraceRecord& r = mem.records()[s];
-    EXPECT_STREQ(r.type(), "population_shard");
-    ASSERT_EQ(r.fields().size(), 4u);
-    EXPECT_STREQ(r.fields()[0].key, "shard");
-    EXPECT_EQ(std::get<u64>(r.fields()[0].value), s);
-    EXPECT_STREQ(r.fields()[1].key, "first_chip");
-    EXPECT_EQ(std::get<u64>(r.fields()[1].value), s * 64);
-    EXPECT_STREQ(r.fields()[2].key, "chips");
-    chips += std::get<u64>(r.fields()[2].value);
-    EXPECT_STREQ(r.fields()[3].key, "unusable");
-  }
-  EXPECT_EQ(chips, 200u);
+  const PopulationResult r = run_job(job, 1, &mem);
+  ASSERT_EQ(mem.records().size(), 1u);
+  const TraceRecord& rec = mem.records()[0];
+  EXPECT_STREQ(rec.type(), "population_grid_point");
+  ASSERT_EQ(rec.fields().size(), 7u);
+  EXPECT_STREQ(rec.fields()[0].key, "point");
+  EXPECT_EQ(std::get<u64>(rec.fields()[0].value), 0u);
+  EXPECT_STREQ(rec.fields()[1].key, "size_kb");
+  EXPECT_EQ(std::get<u64>(rec.fields()[1].value), 16u);
+  EXPECT_STREQ(rec.fields()[2].key, "assoc");
+  EXPECT_EQ(std::get<u64>(rec.fields()[2].value), 4u);
+  EXPECT_STREQ(rec.fields()[3].key, "sigma");
+  EXPECT_EQ(std::get<double>(rec.fields()[3].value),
+            Technology::soi45().ber_sigma);
+  EXPECT_STREQ(rec.fields()[4].key, "chips");
+  EXPECT_EQ(std::get<u64>(rec.fields()[4].value), 200u);
+  EXPECT_STREQ(rec.fields()[5].key, "unusable");
+  EXPECT_EQ(std::get<u64>(rec.fields()[5].value), r.unusable);
+  EXPECT_STREQ(rec.fields()[6].key, "no_spcs");
+  EXPECT_EQ(std::get<u64>(rec.fields()[6].value), r.no_spcs);
 }
 
-TEST(PopulationEngine, ReportBytesInvariantToThreadCountAndShardSize) {
-  PopulationSpec spec = small_spec(250);
-  const BerModel ber(Technology::soi45());
-  std::ostringstream ref;
-  render_population_report(spec, PopulationEngine(ber, 1).run(spec), ref);
-  EXPECT_NE(ref.str().find("fleet yield vs VDD:"), std::string::npos);
-  EXPECT_NE(ref.str().find("SPCS bins"), std::string::npos);
+TEST(PopulationJob, ReportBytesInvariantToThreadCountAndShardSize) {
+  PopulationJobSpec job = small_job(250);
+  const std::string ref = job_report(job, 1);
+  EXPECT_NE(ref.find("fleet yield vs VDD:"), std::string::npos);
+  EXPECT_NE(ref.find("SPCS bins"), std::string::npos);
 
-  spec.chips_per_shard = 23;
-  std::ostringstream got;
-  render_population_report(spec, PopulationEngine(ber, 8).run(spec), got);
-  EXPECT_EQ(got.str(), ref.str());
+  for (const u64 shard_chips : {17u, 101u, 4096u}) {
+    job.spec.chips_per_shard = shard_chips;
+    for (const u32 threads : {1u, 8u}) {
+      EXPECT_EQ(job_report(job, threads), ref)
+          << threads << " threads, " << shard_chips << " chips/shard";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Histogram bookkeeping
 
-TEST(PopulationEngine, HistogramTotalsAreConsistent) {
-  const PopulationSpec spec = small_spec(400);
-  const BerModel ber(Technology::soi45());
-  const PopulationResult r = PopulationEngine(ber, 2).run(spec);
+TEST(PopulationJob, HistogramTotalsAreConsistent) {
+  const PopulationResult r = run_job(small_job(400), 2);
 
   EXPECT_EQ(r.num_chips, 400u);
   u64 floors = 0, spcs = 0, caps = 0, joint = 0;
@@ -191,26 +234,26 @@ TEST(PopulationEngine, HistogramTotalsAreConsistent) {
   EXPECT_GT(r.usable(), 0u);
 }
 
-TEST(PopulationEngine, LadderBelowEveryFailVoltageYieldsNothing) {
-  PopulationSpec spec = small_spec(50);
-  spec.grid_lo = 0.05;  // far below any soi45 cell fail voltage
-  spec.grid_hi = 0.10;
-  const BerModel ber(Technology::soi45());
-  const PopulationResult r = PopulationEngine(ber, 1).run(spec);
+TEST(PopulationJob, LadderBelowEveryFailVoltageYieldsNothing) {
+  PopulationJobSpec job = small_job(50);
+  job.spec.grid_lo = 0.05;  // far below any soi45 cell fail voltage
+  job.spec.grid_hi = 0.10;
+  const PopulationResult r = run_job(job, 1);
   EXPECT_EQ(r.unusable, 50u);
   EXPECT_EQ(r.usable(), 0u);
   for (const u64 c : r.capacity_hist) EXPECT_EQ(c, 0u);
   EXPECT_EQ(r.yield_at(r.num_levels()), 0.0);
 }
 
-TEST(PopulationEngine, ZeroChipsProducesEmptyResultAndNoRecords) {
-  const PopulationSpec spec = small_spec(0);
-  const BerModel ber(Technology::soi45());
+TEST(PopulationJob, ZeroChipsProducesEmptyResultAndAnEmptyPointRecord) {
   MemoryTraceSink mem;
-  const PopulationResult r = PopulationEngine(ber, 4).run(spec, &mem);
+  const PopulationResult r = run_job(small_job(0), 4, &mem);
   EXPECT_EQ(r.num_chips, 0u);
   EXPECT_EQ(r.usable(), 0u);
-  EXPECT_TRUE(mem.records().empty());
+  EXPECT_EQ(r, make_empty_population_result(small_spec(0).grid()));
+  ASSERT_EQ(mem.records().size(), 1u);
+  EXPECT_STREQ(mem.records()[0].fields()[4].key, "chips");
+  EXPECT_EQ(std::get<u64>(mem.records()[0].fields()[4].value), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,99 +275,16 @@ TEST(PopulationResult, MeanAndQuantilesUseCountRanks) {
 }
 
 TEST(PopulationResult, MergeRejectsGridMismatch) {
-  const PopulationSpec spec = small_spec(10);
-  const BerModel ber(Technology::soi45());
-  PopulationResult a = PopulationEngine(ber, 1).run(spec);
-  PopulationSpec other = spec;
-  other.grid_step = 0.02;
-  const PopulationResult b = PopulationEngine(ber, 1).run(other);
+  const PopulationJobSpec job = small_job(10);
+  PopulationResult a = run_job(job, 1);
+  PopulationJobSpec other = job;
+  other.spec.grid_step = 0.02;
+  const PopulationResult b = run_job(other, 1);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
 // Shard-range checkpoint / resume
-
-TEST(PopulationEngine, CheckpointRoundTripsAndResumesByteIdentically) {
-  PopulationSpec spec = small_spec(200);
-  spec.chips_per_shard = 32;  // 7 shards (last one short)
-  const BerModel ber(Technology::soi45());
-  const PopulationResult full = PopulationEngine(ber, 1).run(spec);
-
-  const std::string path =
-      std::string(::testing::TempDir()) + "pcs_pop_ck.txt";
-  std::remove(path.c_str());
-
-  // Interrupt after the second sidecar write, then resume: the merged
-  // histograms and the rendered report must be byte-identical, and the
-  // resumed run's telemetry must cover exactly the shards it ran.
-  CheckpointOptions ckpt;
-  ckpt.path = path;
-  ckpt.every_shards = 2;
-  struct StopRun {};
-  ckpt.on_checkpoint = [](u64 done) {
-    if (done == 4) throw StopRun{};
-  };
-  EXPECT_THROW(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt), StopRun);
-
-  ckpt.on_checkpoint = nullptr;
-  ckpt.resume = true;
-  MemoryTraceSink mem;
-  const PopulationResult resumed =
-      PopulationEngine(ber, 1).run(spec, &mem, &ckpt);
-  EXPECT_EQ(resumed, full);
-  ASSERT_EQ(mem.records().size(), 3u);  // shards 4, 5, 6 only
-  EXPECT_EQ(std::get<u64>(mem.records()[0].fields()[0].value), 4u);
-
-  std::ostringstream a, b;
-  render_population_report(spec, resumed, a);
-  render_population_report(spec, full, b);
-  EXPECT_EQ(a.str(), b.str());
-
-  // A second resume of a finished run re-runs nothing.
-  MemoryTraceSink none;
-  EXPECT_EQ(PopulationEngine(ber, 1).run(spec, &none, &ckpt), full);
-  EXPECT_TRUE(none.records().empty());
-  std::remove(path.c_str());
-}
-
-TEST(PopulationEngine, StrictResumeRefusesMismatchedSpecOrCorruptSidecar) {
-  PopulationSpec spec = small_spec(64);
-  const BerModel ber(Technology::soi45());
-  const std::string path =
-      std::string(::testing::TempDir()) + "pcs_pop_ck_bad.txt";
-  std::remove(path.c_str());
-
-  CheckpointOptions ckpt;
-  ckpt.path = path;
-  PopulationEngine(ber, 1).run(spec, nullptr, &ckpt);
-
-  ckpt.resume = true;
-  ckpt.strict_resume = true;
-  PopulationSpec other = spec;
-  other.num_chips += 1;
-  EXPECT_THROW(PopulationEngine(ber, 1).run(other, nullptr, &ckpt),
-               std::runtime_error);
-  // A sigma change is also a different run (the fingerprint covers the
-  // fault model, not just the spec fields).
-  const BerModel wider(ber.mu(), ber.sigma() * 1.15);
-  EXPECT_THROW(PopulationEngine(wider, 1).run(spec, nullptr, &ckpt),
-               std::runtime_error);
-
-  {
-    std::ofstream f(path, std::ios::trunc);
-    f << "pcs-population-checkpoint v1\nfingerprint 1\n";  // truncated
-  }
-  EXPECT_THROW(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt),
-               std::runtime_error);
-
-  // A missing sidecar is not an error: the run simply starts fresh.
-  std::remove(path.c_str());
-  EXPECT_EQ(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt),
-            PopulationEngine(ber, 1).run(spec));
-  std::remove(path.c_str());
-}
-
-namespace {
 
 std::string slurp_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -338,49 +298,135 @@ void spit_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-}  // namespace
+/// Collects the watermark of every sidecar write: which shards a run
+/// actually merged (a resumed run saves only past its starting watermark).
+struct SaveLog {
+  std::vector<u64> watermarks;
+  CheckpointHook hook() {
+    return [this](u64 done) { watermarks.push_back(done); };
+  }
+};
+
+/// Runs a job's singleton grid directly on the engine with strict resume,
+/// which the job schema does not expose.
+PopulationResult run_strict(const PopulationJobSpec& job) {
+  const BerModel ber(Technology::soi45());
+  CheckpointOptions ckpt;
+  ckpt.path = job.checkpoint;
+  ckpt.resume = true;
+  ckpt.strict_resume = true;
+  return PopulationGridEngine(ber, 1)
+      .run(population_job_grid(job), nullptr, &ckpt)
+      .points.front()
+      .result;
+}
+
+TEST(PopulationJob, CheckpointRoundTripsAndResumesByteIdentically) {
+  PopulationJobSpec job = small_job(200);
+  job.spec.chips_per_shard = 32;  // 7 shards (last one short)
+  const PopulationResult full = run_job(job, 1);
+  const std::string full_report = job_report(job, 1);
+
+  const std::string path =
+      std::string(::testing::TempDir()) + "pcs_pop_ck.txt";
+  std::remove(path.c_str());
+
+  // Interrupt after the second sidecar write, then resume: the merged
+  // histograms and the rendered report must be byte-identical, and the
+  // resumed run must merge exactly the shards past the watermark.
+  job.checkpoint = path;
+  job.checkpoint_shards = 2;
+  struct StopRun {};
+  EXPECT_THROW(run_job(job, 1, nullptr,
+                       [](u64 done) {
+                         if (done == 4) throw StopRun{};
+                       }),
+               StopRun);
+
+  job.resume = true;
+  SaveLog resumed_saves;
+  std::ostringstream resumed_report;
+  const PopulationResult resumed = run_population_job(
+      job, resumed_report, 1, nullptr, resumed_saves.hook());
+  EXPECT_EQ(resumed, full);
+  EXPECT_EQ(resumed_report.str(), full_report);
+  // Shards 4, 5, 6 only: one cadence save at 6, the final save at 7.
+  EXPECT_EQ(resumed_saves.watermarks, (std::vector<u64>{6, 7}));
+
+  // A second resume of a finished run re-runs nothing.
+  SaveLog none;
+  EXPECT_EQ(run_job(job, 1, nullptr, none.hook()), full);
+  EXPECT_TRUE(none.watermarks.empty());
+  std::remove(path.c_str());
+}
+
+TEST(PopulationJob, StrictResumeRefusesMismatchedSpecOrCorruptSidecar) {
+  PopulationJobSpec job = small_job(64);
+  const std::string path =
+      std::string(::testing::TempDir()) + "pcs_pop_ck_bad.txt";
+  std::remove(path.c_str());
+  job.checkpoint = path;
+  run_job(job, 1);
+
+  PopulationJobSpec other = job;
+  other.spec.num_chips += 1;
+  EXPECT_THROW(run_strict(other), std::runtime_error);
+  // A sigma change is also a different run (the fingerprint covers the
+  // fault model, not just the spec fields).
+  PopulationJobSpec wider = job;
+  wider.sigma = Technology::soi45().ber_sigma * 1.15;
+  EXPECT_THROW(run_strict(wider), std::runtime_error);
+
+  spit_file(path, "pcs-population-checkpoint v1\nfingerprint 1\n");
+  EXPECT_THROW(run_strict(job), std::runtime_error);
+
+  // A missing sidecar is not an error: the run simply starts fresh.
+  std::remove(path.c_str());
+  EXPECT_EQ(run_strict(job), run_job(small_job(64), 1));
+  std::remove(path.c_str());
+}
 
 // Default (non-strict) resume: every sidecar rejection path falls back to
 // a clean start whose result and report are byte-identical to an
 // uninterrupted run, and the next save overwrites the bad sidecar.
-TEST(PopulationEngine, RejectedSidecarFallsBackToCleanStart) {
-  PopulationSpec spec = small_spec(64);
-  spec.chips_per_shard = 16;  // 4 shards
-  const BerModel ber(Technology::soi45());
-  const PopulationResult fresh = PopulationEngine(ber, 1).run(spec);
+TEST(PopulationJob, RejectedSidecarFallsBackToCleanStart) {
+  PopulationJobSpec job = small_job(64);
+  job.spec.chips_per_shard = 16;  // 4 shards
+  const PopulationResult fresh = run_job(job, 1);
   const std::string path =
       std::string(::testing::TempDir()) + "pcs_pop_ck_fallback.txt";
   std::remove(path.c_str());
 
-  CheckpointOptions ckpt;
-  ckpt.path = path;
-  PopulationEngine(ber, 1).run(spec, nullptr, &ckpt);
+  job.checkpoint = path;
+  job.checkpoint_shards = 1;
+  run_job(job, 1);
   const std::string valid = slurp_file(path);
   ASSERT_NE(valid.find("points 1"), std::string::npos);
-  ckpt.resume = true;
+  job.resume = true;
 
-  // Fingerprint mismatch: the sidecar belongs to `spec`, the run is for a
-  // different seed. All four shards re-run; telemetry proves it.
-  PopulationSpec other = spec;
-  other.seed += 1;
-  const PopulationResult other_fresh = PopulationEngine(ber, 1).run(other);
-  MemoryTraceSink mem;
-  EXPECT_EQ(PopulationEngine(ber, 1).run(other, &mem, &ckpt), other_fresh);
-  EXPECT_EQ(mem.records().size(), 4u);
+  // Fingerprint mismatch: the sidecar belongs to `job`, the run is for a
+  // different seed. All four shards re-run; the save log proves it.
+  PopulationJobSpec other = job;
+  other.spec.seed += 1;
+  PopulationJobSpec other_plain = other;
+  other_plain.checkpoint.clear();
+  const PopulationResult other_fresh = run_job(other_plain, 1);
+  SaveLog saves;
+  EXPECT_EQ(run_job(other, 1, nullptr, saves.hook()), other_fresh);
+  EXPECT_EQ(saves.watermarks, (std::vector<u64>{1, 2, 3, 4}));
 
   // Shape mismatch: same fingerprint, wrong point count.
   std::string reshaped = valid;
   reshaped.replace(reshaped.find("points 1"), 8, "points 2");
   spit_file(path, reshaped);
-  EXPECT_EQ(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt), fresh);
+  EXPECT_EQ(run_job(job, 1), fresh);
 
   // Truncated sidecar (mid-file cut), then outright garbage.
   spit_file(path, valid.substr(0, valid.size() / 2));
-  const PopulationResult after_truncated =
-      PopulationEngine(ber, 1).run(spec, nullptr, &ckpt);
-  EXPECT_EQ(after_truncated, fresh);
+  std::ostringstream after_truncated;
+  EXPECT_EQ(run_population_job(job, after_truncated, 1), fresh);
   spit_file(path, "not a checkpoint\n");
-  EXPECT_EQ(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt), fresh);
+  EXPECT_EQ(run_job(job, 1), fresh);
 
   // Watermark past the end of the run (a sidecar from a longer run).
   std::string overrun = valid;
@@ -388,15 +434,65 @@ TEST(PopulationEngine, RejectedSidecarFallsBackToCleanStart) {
   ASSERT_NE(wm, std::string::npos);
   overrun.replace(wm, overrun.find('\n', wm) - wm, "shards_done 99");
   spit_file(path, overrun);
-  EXPECT_EQ(PopulationEngine(ber, 1).run(spec, nullptr, &ckpt), fresh);
+  EXPECT_EQ(run_job(job, 1), fresh);
 
   // The fallback run's report is byte-identical to the uninterrupted one,
   // and the rejected sidecar was overwritten by a valid final save.
-  std::ostringstream a, b;
-  render_population_report(spec, after_truncated, a);
-  render_population_report(spec, fresh, b);
-  EXPECT_EQ(a.str(), b.str());
+  PopulationJobSpec plain = job;
+  plain.checkpoint.clear();
+  plain.resume = false;
+  EXPECT_EQ(after_truncated.str(), job_report(plain, 1));
   EXPECT_EQ(slurp_file(path), valid);
+  std::remove(path.c_str());
+}
+
+// Sidecars written before population jobs ran as singleton grids carry a
+// `population|v1` fingerprint. They can never match the grid fingerprint,
+// so a lenient resume warns and starts clean; a strict one refuses.
+TEST(PopulationJob, OldPopulationSidecarFallsBackToCleanStart) {
+  PopulationJobSpec job = small_job(64);
+  job.spec.chips_per_shard = 16;  // 4 shards
+  const PopulationResult fresh = run_job(job, 1);
+  const std::string path =
+      std::string(::testing::TempDir()) + "pcs_pop_ck_v1.txt";
+
+  // The old single-design canonical string, field for field.
+  const PopulationSpec& s = job.spec;
+  const Technology tech = Technology::soi45();
+  char canon[512];
+  std::snprintf(canon, sizeof canon,
+                "population|v1|mu=%.17g|sigma=%.17g|size=%llu|assoc=%u|"
+                "block=%u|chips=%llu|seed=%llu|lo=%.17g|hi=%.17g|step=%.17g|"
+                "mincap=%.17g|shard=%llu",
+                tech.ber_mu, tech.ber_sigma,
+                static_cast<unsigned long long>(s.org.size_bytes),
+                s.org.assoc, s.org.block_bytes,
+                static_cast<unsigned long long>(s.num_chips),
+                static_cast<unsigned long long>(s.seed), s.grid_lo, s.grid_hi,
+                s.grid_step, s.spcs_min_capacity,
+                static_cast<unsigned long long>(s.chips_per_shard));
+  // Half the run marked done with nothing merged: accepting this sidecar
+  // would lose two shards of dies.
+  const PopulationResult empty = make_empty_population_result(s.grid());
+  const auto write_old_sidecar = [&] {
+    save_population_checkpoint(path, population_fingerprint(canon), 2,
+                               std::span<const PopulationResult>(&empty, 1));
+  };
+
+  write_old_sidecar();
+  job.checkpoint = path;
+  job.resume = true;
+  ::testing::internal::CaptureStderr();
+  const PopulationResult resumed = run_job(job, 1);
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(resumed, fresh);
+  EXPECT_NE(warning.find("checkpoint sidecar rejected, starting fresh"),
+            std::string::npos)
+      << warning;
+  EXPECT_NE(warning.find("fingerprint mismatch"), std::string::npos);
+
+  write_old_sidecar();
+  EXPECT_THROW(run_strict(job), std::runtime_error);
   std::remove(path.c_str());
 }
 

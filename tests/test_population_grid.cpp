@@ -1,5 +1,5 @@
-// Population grid engine: every grid point bit-identical to a standalone
-// PopulationEngine run of that point's spec (the sample-once contract),
+// Population grid engine: every grid point bit-identical to the serial
+// per-die reference over that point's spec (the sample-once contract),
 // exact sigma monotonicity of the floor distribution, thread/shard
 // invariance, the population_grid_point telemetry stream, and shard-range
 // checkpoint/resume -- including a fork/kill test that tears a real run
@@ -20,6 +20,7 @@
 #include "exp/population_engine.hpp"
 #include "exp/population_grid.hpp"
 #include "fault/ber_model.hpp"
+#include "population_reference.hpp"
 #include "tech/technology.hpp"
 #include "telemetry/trace_sink.hpp"
 
@@ -88,13 +89,13 @@ TEST(PopulationGridEngine, EveryPointBitIdenticalToStandaloneEngine) {
         EXPECT_EQ(pt.size_kb, size_kb);
         EXPECT_EQ(pt.assoc, assoc);
         EXPECT_EQ(pt.sigma, sigma);
-        // The standalone engine manufactures this point's fleet from
-        // scratch; the grid engine derived it from shared draws. The
-        // histograms must agree bit for bit, not just statistically.
+        // The serial reference manufactures this point's fleet from
+        // scratch, die by die; the grid engine derived it from shared
+        // draws. The histograms must agree bit for bit, not just
+        // statistically.
         const BerModel point_ber(ber.mu(), sigma);
-        const PopulationResult standalone =
-            PopulationEngine(point_ber, 1).run(
-                spec.point_spec(size_kb, assoc));
+        const PopulationResult standalone = test::serial_population(
+            point_ber, spec.point_spec(size_kb, assoc));
         EXPECT_EQ(pt.result, standalone)
             << size_kb << " KB " << assoc << "-way sigma " << sigma;
       }

@@ -154,7 +154,6 @@ const std::map<std::string, std::vector<std::string>>& documented_schema() {
       {"runner_task_profile", {"task", "wall_ms"}},
       {"runner_profile",
        {"threads", "tasks", "steals", "max_queue_depth", "wall_ms_total"}},
-      {"population_shard", {"shard", "first_chip", "chips", "unusable"}},
       {"population_grid_point",
        {"point", "size_kb", "assoc", "sigma", "chips", "unusable",
         "no_spcs"}},

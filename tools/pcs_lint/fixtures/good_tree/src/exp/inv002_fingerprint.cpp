@@ -9,7 +9,7 @@ struct PopulationSpec {
   double drift_mv = 0.0;
 };
 
-std::string population_canonical(const PopulationSpec& spec) {
+std::string grid_canonical(const PopulationSpec& spec) {
   return "population|v9|chips=" + std::to_string(spec.num_chips) +
          "|seed=" + std::to_string(spec.seed) +
          "|step=" + std::to_string(spec.grid_step) +

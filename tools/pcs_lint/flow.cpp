@@ -7,22 +7,6 @@
 #include "lint.hpp"
 
 namespace pcs_lint {
-namespace {
-
-// Spec struct -> canonical fingerprint function, mirrored from index.cpp's
-// capture list. The pair is the INV002 contract: every field of the struct
-// must be mentioned by the function, or a stale checkpoint can resume under
-// a silently-changed spec.
-struct FingerprintContract {
-  const char* struct_name;
-  const char* canonical_fn;
-};
-constexpr FingerprintContract kFingerprintContracts[] = {
-    {"PopulationSpec", "population_canonical"},
-    {"PopulationGridSpec", "grid_canonical"},
-};
-
-}  // namespace
 
 void check_fingerprints(const SymbolIndex& index,
                         std::vector<Diagnostic>& diags) {

@@ -57,17 +57,6 @@ const std::set<std::string, std::less<>> kSinkMarkers = {
 const std::set<std::string, std::less<>> kSinkCalls = {
     "emit", "save_population_checkpoint"};
 
-// INV002 contract: spec struct -> the canonical fingerprint function that
-// must mention every one of its fields (DESIGN.md §10).
-struct FingerprintContract {
-  const char* struct_name;
-  const char* canonical_fn;
-};
-constexpr FingerprintContract kFingerprintContracts[] = {
-    {"PopulationSpec", "population_canonical"},
-    {"PopulationGridSpec", "grid_canonical"},
-};
-
 bool is_contract_struct(std::string_view name) {
   for (const auto& c : kFingerprintContracts) {
     if (name == c.struct_name) return true;

@@ -44,9 +44,9 @@
 //   INV001    faulty-bits writes only in src/core/mechanism.cpp and
 //             src/cache/cache_level.cpp -- single-writer fault inclusion
 //   INV002    every field of PopulationSpec / PopulationGridSpec must appear
-//             in its canonical fingerprint string (population_canonical /
-//             grid_canonical) -- a forgotten field lets a stale checkpoint
-//             resume under a changed spec
+//             in the canonical fingerprint string (grid_canonical; the
+//             kFingerprintContracts table) -- a forgotten field lets a stale
+//             checkpoint resume under a changed spec
 //   SCHEMA001 telemetry record/field string literals in src/ must match the
 //             TELEMETRY.md schema appendix, both directions, and the
 //             documented schema version must match kTelemetrySchemaVersion
@@ -114,6 +114,20 @@ struct FunctionDef {
   // Non-empty when the body holds a serializing marker directly (the
   // marker/callee identifier, e.g. "printf", "ostream", "emit").
   std::string direct_sink;
+};
+
+// INV002 contract: spec struct -> the canonical fingerprint function that
+// must mention every one of its fields, or a stale checkpoint can resume
+// under a silently-changed spec (DESIGN.md §10). Pass 1 indexes exactly
+// these structs and functions; pass 2 compares them. PopulationSpec is the
+// base of every PopulationGridSpec, so grid_canonical covers both.
+struct FingerprintContract {
+  const char* struct_name;
+  const char* canonical_fn;
+};
+inline constexpr FingerprintContract kFingerprintContracts[] = {
+    {"PopulationSpec", "grid_canonical"},
+    {"PopulationGridSpec", "grid_canonical"},
 };
 
 // Struct field or canonical-function shape captured for INV002.
