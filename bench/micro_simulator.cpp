@@ -417,6 +417,36 @@ void BM_PopulationBinChip(benchmark::State& state) {
 }
 BENCHMARK(BM_PopulationBinChip);
 
+/// The rung histogram alone: one die's 1,024 block fail voltages (64 KB,
+/// 64 B blocks) bucketed against the default 56-rung ladder per iteration,
+/// cycling through 64 pre-sampled dies so the branch predictor cannot learn
+/// one die's bucket sequence. Items = blocks, so ns/item is the per-block
+/// bucketing cost.
+void BM_CountFailRungs(benchmark::State& state) {
+  const BerModel ber(Technology::soi45());
+  const PopulationSpec spec;
+  const std::vector<Volt> grid = spec.grid();
+  constexpr u64 kDies = 64;
+  std::vector<std::vector<float>> dies;
+  for (u64 c = 0; c < kDies; ++c) {
+    Rng rng(derive_seed(spec.seed, 0, c));
+    const auto field = CellFaultField::sample_fast(
+        ber, spec.org.num_blocks(), spec.org.bits_per_block(), rng);
+    dies.emplace_back(field.fail_voltages().begin(),
+                      field.fail_voltages().end());
+  }
+  std::vector<u64> rungs(grid.size() + 2, 0);
+  u64 die = 0;
+  for (auto _ : state) {
+    count_fail_rungs(dies[die++ % kDies], grid, rungs);
+    benchmark::DoNotOptimize(rungs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<i64>(spec.org.num_blocks()));
+}
+BENCHMARK(BM_CountFailRungs);
+
 /// Reference per-die cost: build the full 56-level dense FaultMap per die
 /// and bin through it (what chip_binning did when it recomputed per-chip
 /// faults per level). The pair prices the production histogram kernel

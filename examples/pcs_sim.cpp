@@ -31,6 +31,9 @@
 //                         documented in POPULATION.md. Exits non-zero if
 //                         any job failed.
 //
+// Numeric arguments are whole unsigned integers (--levels fits in 32 bits);
+// a malformed or out-of-range one prints a message plus usage and exits 2.
+//
 // Examples:
 //   pcs_sim --config B --policy dpcs --workload mcf --refs 2000000
 //   pcs_sim --workload gcc --csv
@@ -45,6 +48,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "exp/job_service.hpp"
@@ -94,25 +98,31 @@ Options parse(int argc, char** argv) {
       o.job.workload = argv[++i];
     } else if (a == "--refs") {
       need(1);
-      o.job.refs = std::strtoull(argv[++i], nullptr, 10);
+      o.job.refs = parse_u64_token(argv[++i], a);
     } else if (a == "--warmup") {
       need(1);
-      o.job.warmup = std::strtoull(argv[++i], nullptr, 10);
+      o.job.warmup = parse_u64_token(argv[++i], a);
     } else if (a == "--chip-seed") {
       need(1);
-      o.job.chip_seed = std::strtoull(argv[++i], nullptr, 10);
+      o.job.chip_seed = parse_u64_token(argv[++i], a);
     } else if (a == "--trace-seed") {
       need(1);
-      o.job.trace_seed = std::strtoull(argv[++i], nullptr, 10);
+      o.job.trace_seed = parse_u64_token(argv[++i], a);
     } else if (a == "--levels") {
       need(1);
-      o.job.levels = static_cast<u32>(std::strtoul(argv[++i], nullptr, 10));
+      const std::string tok = argv[++i];
+      const u64 levels = parse_u64_token(tok, a);
+      if (levels > 0xffffffffULL) {
+        throw std::invalid_argument(a + ": integer '" + tok +
+                                    "' out of range");
+      }
+      o.job.levels = static_cast<u32>(levels);
     } else if (a == "--csv") {
       o.job.csv = true;
     } else if (a == "--record") {
       need(2);
       o.record_path = argv[++i];
-      o.record_count = std::strtoull(argv[++i], nullptr, 10);
+      o.record_count = parse_u64_token(argv[++i], a);
     } else if (a == "--format") {
       need(1);
       const std::string fmt = argv[++i];
@@ -162,7 +172,13 @@ int serve(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pcs_sim: %s\n", e.what());
+    usage(argv[0]);
+  }
 
   if (!o.serve_path.empty()) return serve(o.serve_path);
 

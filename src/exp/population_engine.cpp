@@ -41,10 +41,11 @@ ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
     return {};  // unusable: faulty even at the top level; skip the histogram
   }
 
-  // Per-level faulty counts in one O(blocks·log levels) pass. (The field's
-  // sweep index would answer the same queries, but its std::sort over a
-  // fresh random permutation per die costs ~2x this whole pass; counts are
-  // integers either way, so the results are bit-identical.)
+  // Per-level faulty counts in one pass of O(1) work per block (the rung
+  // bucketing in count_fail_rungs, exact for any ladder). The field's sweep
+  // index would answer the same queries, but its std::sort over a fresh
+  // random permutation per die costs far more than this pass; counts are
+  // integers either way, so the results are bit-identical.
   const u32 n = static_cast<u32>(grid.size());
   std::vector<u64> faulty_at(n + 2, 0);
   count_fail_rungs(field.fail_voltages(), grid, faulty_at);
@@ -58,11 +59,34 @@ void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
   // Block b is faulty at level l iff grid[l-1] <= vf[b], so bucketing each
   // block by how many ladder rungs sit at or below its fail voltage (and
   // later suffix-summing) gives every level's count at once.
+  //
+  // The bucket is upper_bound(grid, v): the first k with v < grid[k], or n.
+  // Instead of a binary search (~6 unpredictable branches per block on the
+  // default ladder), guess k from the ladder's endpoints and walk the guess
+  // to the answer against the real rungs. The walk is exact from ANY start
+  // in [0, n]: the first loop stops only at n or at a rung above v, the
+  // second backs off only past rungs above v, and "v < grid[k]" is monotone
+  // in k on a sorted ladder. So the arithmetic sets only the cost, never the
+  // result: grid() accumulates v += step, so its rungs are not exactly
+  // lo + k*step and the guess can be one off near a rung; a non-uniform
+  // ladder just walks further. The guess is clamped in double before the
+  // integer conversion, so no NaN or out-of-range value is converted:
+  // below the ladder and -inf guess 0; above it, +inf and NaN guess n (NaN
+  // stays there, as in upper_bound, since NaN < grid[k] is never true).
+  const std::size_t n = grid.size();
+  const double lo = grid.front();
+  const double span = grid.back() - lo;
+  const double top = static_cast<double>(n);
+  const double scale = span > 0.0 ? static_cast<double>(n - 1) / span : 0.0;
   for (const float v : vf) {
-    const auto rungs_below = std::upper_bound(grid.begin(), grid.end(),
-                                              static_cast<Volt>(v)) -
-                             grid.begin();
-    ++rung_counts[static_cast<std::size_t>(rungs_below)];
+    const double d = static_cast<double>(v);
+    double t = (d - lo) * scale + 1.0;
+    t = t < top ? t : top;  // also NaN and +inf
+    t = t > 0.0 ? t : 0.0;  // also -inf
+    std::size_t k = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(t));
+    while (k < n && !(d < grid[k])) ++k;
+    while (k > 0 && d < grid[k - 1]) --k;
+    ++rung_counts[k];
   }
 }
 

@@ -85,15 +85,19 @@ struct ChipBinPoint {
 
 /// Bins one manufactured die against a VDD ladder: viability floor via the
 /// fused fail-voltage kernel, then every level's effective capacity from a
-/// single histogram pass over the per-block fail voltages (no sort, no
-/// dense FaultMap). The serial reference the tests compare the grid engine
-/// against, and the micro-benchmarks' per-die kernel.
+/// single O(blocks) histogram pass over the per-block fail voltages (no
+/// sort, no dense FaultMap). The serial reference the tests compare the
+/// grid engine against, and the micro-benchmarks' per-die kernel.
 ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
                       std::span<const Volt> grid, double min_capacity);
 
 /// The histogram half of bin_chip: adds each block's ladder bucket to
 /// `rung_counts`, where block b lands in index upper_bound(grid, vf[b]) --
-/// the number of ladder rungs at or below its fail voltage. `rung_counts`
+/// the number of ladder rungs at or below its fail voltage (NaN lands in
+/// grid.size(), as with upper_bound). O(1) per block on a uniform ladder:
+/// an arithmetic guess from the ladder's endpoints, corrected against the
+/// real rungs, so any sorted non-empty ladder gives the upper_bound answer
+/// exactly (tests/population_reference.hpp holds that oracle). `rung_counts`
 /// must have grid.size() + 2 entries; suffix-summing indices n..1 turns the
 /// buckets into per-level faulty counts. Additive, so the grid engine can
 /// extend a smaller cache's counts with just the new blocks of the next

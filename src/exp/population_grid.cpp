@@ -135,6 +135,14 @@ PopulationGridResult PopulationGridEngine::run(
               return blocks_of[a] < blocks_of[b];
             });
   const u64 max_blocks = blocks_of[size_order.back()];
+  // Each size's set count per associativity, in size_order: the prefix
+  // boundaries of the one fold pass per (sigma, assoc).
+  std::vector<u64> set_ends(num_assocs * num_sizes);
+  for (std::size_t ai = 0; ai < num_assocs; ++ai) {
+    for (std::size_t k = 0; k < num_sizes; ++k) {
+      set_ends[ai * num_sizes + k] = blocks_of[size_order[k]] / spec.assocs[ai];
+    }
+  }
   const double nbits = static_cast<double>(base.org.bits_per_block());
   const u32 num_levels = static_cast<u32>(grid.size());
 
@@ -184,7 +192,9 @@ PopulationGridResult PopulationGridEngine::run(
   //   (vecmath contract, pinned by tests/test_fault_equivalence), the first
   //   blocks(size) draws are exactly the smaller cache's draw sequence, and
   //   the histogram/fold kernels are the standalone engine's own
-  //   (count_fail_rungs / bin_from_fail_summary / chip_fail_voltage).
+  //   (count_fail_rungs / bin_from_fail_summary / chip_fail_voltage, whose
+  //   fold is chip_fail_voltage_prefixes: one walk per (sigma, assoc) over
+  //   the largest size's sets, snapshotted at each smaller size's last set).
   const auto shard_task = [&](u64 s) {
     std::vector<PopulationResult> parts = empty_parts();
     constexpr u64 kChunk = 4096;  // sample_fast's draw-block size
@@ -194,6 +204,7 @@ PopulationGridResult PopulationGridEngine::run(
     std::vector<float> vf(static_cast<std::size_t>(max_blocks));
     std::vector<u64> rungs(num_levels + 2, 0);
     std::vector<u64> faulty_at(num_levels + 2, 0);
+    std::vector<float> vf_chip(num_assocs * num_sizes);  // like set_ends
     const u64 first = s * per_shard;
     const u64 end = std::min(base.num_chips, first + per_shard);
     for (u64 c = first; c < end; ++c) {
@@ -207,9 +218,17 @@ PopulationGridResult PopulationGridEngine::run(
       for (std::size_t gi = 0; gi < num_sigmas; ++gi) {
         vecmath::vf_from_z_block(z.data(), static_cast<std::size_t>(max_blocks),
                                  mu, sigmas[gi], vf.data());
+        for (std::size_t ai = 0; ai < num_assocs; ++ai) {
+          chip_fail_voltage_prefixes(
+              vf, spec.assocs[ai],
+              std::span<const u64>(set_ends.data() + ai * num_sizes,
+                                   num_sizes),
+              std::span<float>(vf_chip.data() + ai * num_sizes, num_sizes));
+        }
         std::fill(rungs.begin(), rungs.end(), u64{0});
         u64 prev_blocks = 0;
-        for (const std::size_t si : size_order) {
+        for (std::size_t k = 0; k < num_sizes; ++k) {
+          const std::size_t si = size_order[k];
           const u64 blocks = blocks_of[si];
           count_fail_rungs(
               std::span<const float>(vf.data() + prev_blocks,
@@ -222,14 +241,10 @@ PopulationGridResult PopulationGridEngine::run(
             faulty_at[l] = rungs[l] + faulty_at[l + 1];
           }
           for (std::size_t ai = 0; ai < num_assocs; ++ai) {
-            const float vf_chip = chip_fail_voltage(
-                std::span<const float>(vf.data(),
-                                       static_cast<std::size_t>(blocks)),
-                spec.assocs[ai]);
             accumulate_chip(
                 parts[point_index(si, ai, gi)],
-                bin_from_fail_summary(vf_chip, faulty_at, blocks, grid,
-                                      base.spcs_min_capacity));
+                bin_from_fail_summary(vf_chip[ai * num_sizes + k], faulty_at,
+                                      blocks, grid, base.spcs_min_capacity));
           }
         }
       }

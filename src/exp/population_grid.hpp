@@ -22,7 +22,10 @@
 //     additive over block ranges, sizes visited in ascending block order).
 //   * assoc axis: associativity affects only the min/max fold of
 //     chip_fail_voltage (the same span-based kernel bin_chip uses), never
-//     the draws or the fault histogram.
+//     the draws or the fault histogram. Set s covers the same blocks at
+//     every size, so one fold pass per (sigma, assoc) over the largest
+//     size's sets, snapshotted at each smaller size's last set
+//     (chip_fail_voltage_prefixes), gives every size's value.
 //
 // Every per-point PopulationResult is therefore BIT-IDENTICAL to a serial
 // per-die loop over that point's spec with the same seed (sample_fast +

@@ -407,19 +407,33 @@ float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org) {
 }
 
 float chip_fail_voltage(std::span<const float> vf, u32 assoc) {
-  // float(block_fail_voltage(b)) in the pre-span loop was a float->double->
-  // float round trip of the stored float, so folding the raw floats here is
-  // the identical computation.
   const u64 num_sets = vf.size() / assoc;
   float worst_set = 0.0f;
-  for (u64 s = 0; s < num_sets; ++s) {
-    float best_way = 2.0f;  // above any physical failure voltage
-    for (u32 w = 0; w < assoc; ++w) {
-      best_way = std::min(best_way, vf[s * assoc + w]);
-    }
-    worst_set = std::max(worst_set, best_way);
-  }
+  chip_fail_voltage_prefixes(vf, assoc, std::span<const u64>(&num_sets, 1),
+                             std::span<float>(&worst_set, 1));
   return worst_set;
+}
+
+void chip_fail_voltage_prefixes(std::span<const float> vf, u32 assoc,
+                                std::span<const u64> set_ends,
+                                std::span<float> out) {
+  // float(block_fail_voltage(b)) in the pre-span loop was a float->double->
+  // float round trip of the stored float, so folding the raw floats here is
+  // the identical computation. Each prefix's value is the running worst-set
+  // max after its last set -- the same fold, in the same order, that a
+  // separate pass over just that prefix would run.
+  float worst_set = 0.0f;
+  u64 s = 0;
+  for (std::size_t p = 0; p < set_ends.size(); ++p) {
+    for (; s < set_ends[p]; ++s) {
+      float best_way = 2.0f;  // above any physical failure voltage
+      for (u32 w = 0; w < assoc; ++w) {
+        best_way = std::min(best_way, vf[s * assoc + w]);
+      }
+      worst_set = std::max(worst_set, best_way);
+    }
+    out[p] = worst_set;
+  }
 }
 
 std::vector<float> chip_fail_voltages_mc(u64 trials, u64 seed,

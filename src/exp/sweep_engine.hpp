@@ -146,6 +146,16 @@ float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org);
 /// float min/max fold.
 float chip_fail_voltage(std::span<const float> vf, u32 assoc);
 
+/// The fold kernel behind chip_fail_voltage, over nested prefixes in one
+/// pass: out[p] is chip_fail_voltage of the first set_ends[p] sets of `vf`
+/// (set_ends ascending, set_ends.back() * assoc <= vf.size(), out the same
+/// length). The grid engine's cache sizes are prefixes of one draw, so one
+/// walk per associativity bins every size; the single-prefix case IS
+/// chip_fail_voltage.
+void chip_fail_voltage_prefixes(std::span<const float> vf, u32 assoc,
+                                std::span<const u64> set_ends,
+                                std::span<float> out);
+
 /// Manufactures `trials` dies (per-trial SplitMix64-derived seeds) fanned
 /// across `num_threads` workers; returns per-die fail voltages in trial
 /// order, identical at every thread count.

@@ -278,7 +278,9 @@ TEST(FaultEquivalence, ZSplitComposesToSampleVfBlock) {
         // the order-statistic deviate is strictly positive -- this is what
         // makes every fail voltage pointwise non-decreasing in sigma (the
         // grid engine's exact sigma-monotonicity property).
-        if (bits >= 512.0 && us[i] > 0.0) ASSERT_GT(z[i], 0.0);
+        if (bits >= 512.0 && us[i] > 0.0) {
+          ASSERT_GT(z[i], 0.0);
+        }
       }
       for (const double mu : {0.0489, 0.1}) {
         for (const double sigma : {0.1426, 0.1585, 0.1823}) {

@@ -2,22 +2,28 @@
 // population job path (a singleton grid on PopulationGridEngine -- merged
 // results, report bytes and telemetry are invariant to thread count and
 // shard size, and match the serial per-die reference), checkpoint/resume,
-// the per-chip binning kernel against the dense FaultMap reference, and
-// the histogram-derived statistics.
+// the per-chip binning kernel against the dense FaultMap reference, the
+// rung-bucketing and prefix-fold kernels against their oracles, and the
+// histogram-derived statistics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "exp/job_service.hpp"
 #include "exp/population_engine.hpp"
 #include "exp/population_grid.hpp"
+#include "exp/sweep_engine.hpp"
 #include "fault/ber_model.hpp"
 #include "fault/fault_map.hpp"
 #include "population_reference.hpp"
@@ -97,6 +103,100 @@ TEST(BinChip, MatchesDenseFaultMapReference) {
           kPopulationCapacityBins - 1);
       EXPECT_EQ(p.capacity_bin, ref_bin) << "die " << die;
       EXPECT_GE(p.spcs_level, p.floor_level) << "die " << die;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Per-die kernels vs their test oracles (population_reference.hpp)
+
+/// Every value the rung bucketing must agree with upper_bound on: each rung
+/// (as float) and its float neighbours, signed zeros, negatives, values
+/// beyond both ends, infinities, NaNs, plus one real die's fail voltages.
+std::vector<float> rung_probe_values(const std::vector<Volt>& grid) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> vs = {0.0f,
+                           -0.0f,
+                           -0.25f,
+                           -1.0f,
+                           kInf,
+                           -kInf,
+                           kNaN,
+                           -kNaN,
+                           std::numeric_limits<float>::denorm_min(),
+                           std::numeric_limits<float>::max(),
+                           std::numeric_limits<float>::lowest(),
+                           static_cast<float>(grid.front()) - 0.3f,
+                           static_cast<float>(grid.front()) - 1e-3f,
+                           static_cast<float>(grid.back()) + 1e-3f,
+                           static_cast<float>(grid.back()) + 5.0f};
+  for (const Volt g : grid) {
+    const float f = static_cast<float>(g);
+    vs.push_back(f);
+    vs.push_back(std::nextafter(f, kInf));
+    vs.push_back(std::nextafter(f, -kInf));
+  }
+  Rng rng(derive_seed(2024, 0, 0));
+  const CellFaultField field = CellFaultField::sample_fast(
+      BerModel(Technology::soi45()), 1024, 512, rng);
+  vs.insert(vs.end(), field.fail_voltages().begin(),
+            field.fail_voltages().end());
+  return vs;
+}
+
+std::vector<Volt> ladder_of(Volt lo, Volt hi, Volt step) {
+  PopulationSpec spec;
+  spec.grid_lo = lo;
+  spec.grid_hi = hi;
+  spec.grid_step = step;
+  return spec.grid();
+}
+
+TEST(CountFailRungs, MatchesUpperBoundOracleOnEveryLadderAndEdgeValue) {
+  const std::vector<std::pair<const char*, std::vector<Volt>>> ladders = {
+      {"default 56-rung", PopulationSpec{}.grid()},
+      {"1-rung", ladder_of(0.70, 0.704, 0.01)},
+      {"lo == hi", ladder_of(0.62, 0.62, 0.01)},
+      {"non-uniform", {0.30, 0.31, 0.50, 0.50, 0.53, 0.90, 1.20}},
+  };
+  ASSERT_EQ(ladders[0].second.size(), 56u);
+  ASSERT_EQ(ladders[1].second.size(), 1u);
+  ASSERT_EQ(ladders[2].second.size(), 1u);
+  for (const auto& [name, grid] : ladders) {
+    const std::vector<float> vs = rung_probe_values(grid);
+    const std::size_t size = grid.size() + 2;
+    for (const float v : vs) {
+      std::vector<u64> got(size, 0), want(size, 0);
+      count_fail_rungs(std::span<const float>(&v, 1), grid, got);
+      test::reference_count_fail_rungs(std::span<const float>(&v, 1), grid,
+                                       want);
+      ASSERT_EQ(got, want) << name << " ladder, v=" << v;
+    }
+    std::vector<u64> got(size, 0), want(size, 0);
+    count_fail_rungs(vs, grid, got);
+    test::reference_count_fail_rungs(vs, grid, want);
+    EXPECT_EQ(got, want) << name << " ladder, all values at once";
+  }
+}
+
+TEST(ChipFailVoltagePrefixes, EachSnapshotIsThatPrefixsFold) {
+  Rng rng(31);
+  for (const u32 assoc : {1u, 2u, 3u, 4u, 16u, 24u, 32u}) {
+    const std::vector<u64> set_ends = {0, 1, 7, 32, 32, 33, 96};
+    std::vector<float> vf(static_cast<std::size_t>(set_ends.back()) * assoc);
+    for (float& v : vf) v = static_cast<float>(0.3 + 0.8 * rng.uniform());
+    std::vector<float> snap(set_ends.size(), -1.0f);
+    chip_fail_voltage_prefixes(vf, assoc, set_ends, snap);
+    for (std::size_t p = 0; p < set_ends.size(); ++p) {
+      const std::span<const float> prefix(
+          vf.data(), static_cast<std::size_t>(set_ends[p]) * assoc);
+      const float one = chip_fail_voltage(prefix, assoc);
+      const float ref = test::reference_chip_fail_voltage(prefix, assoc);
+      EXPECT_EQ(std::bit_cast<u32>(snap[p]), std::bit_cast<u32>(one))
+          << "assoc " << assoc << " prefix " << set_ends[p];
+      EXPECT_EQ(std::bit_cast<u32>(snap[p]), std::bit_cast<u32>(ref))
+          << "assoc " << assoc << " prefix " << set_ends[p];
     }
   }
 }

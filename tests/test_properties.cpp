@@ -245,7 +245,9 @@ TEST_P(LaneSweepProps, FaultInclusionMonotoneAcrossVddLanes) {
   const std::vector<Volt> vdd = {1.0, 0.85, 0.75, 0.70, 0.65, 0.60, 0.55};
   std::vector<CacheLaneSweep::LaneSpec> specs;
   for (std::size_t l = 0; l < vdd.size(); ++l) {
-    specs.push_back({"v" + std::to_string(l), org, "lru"});
+    std::string name = "v";  // not "v" + ...: GCC 12 -Wrestrict misfires
+    name += std::to_string(l);
+    specs.push_back({name, org, "lru"});
   }
   CacheLaneSweep lanes(specs);
   for (std::size_t l = 0; l < vdd.size(); ++l) {
