@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "bench_env.hpp"
 #include "core/system.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -45,10 +46,10 @@ Outcome run(const SystemConfig& cfg, const char* wl, u64 refs,
 }  // namespace
 
 int main() {
-  u64 refs = 600'000;
-  if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 2;
-  }
+  // The default is 600'000 refs; PCS_REFS is divided by 2.
+  const u64 refs = env_u64_or_exit("PCS_REFS", 2 * 600'000,
+                                   "[PCS_REFS=N] ablation_policy") /
+                   2;
   const char* workloads[] = {"hmmer", "gcc"};
 
   std::cout << "== ABL-POL(1): threshold sweep (LT/HT) ==\n\n";

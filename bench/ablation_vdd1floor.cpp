@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "bench_env.hpp"
 #include "core/system.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
@@ -52,10 +53,10 @@ Outcome run(double floor, const char* wl, u64 refs) {
 }  // namespace
 
 int main() {
-  u64 refs = 500'000;
-  if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 4;
-  }
+  // The default is 500'000 refs; PCS_REFS is divided by 4.
+  const u64 refs = env_u64_or_exit("PCS_REFS", 4 * 500'000,
+                                   "[PCS_REFS=N] ablation_vdd1floor") /
+                   4;
 
   std::cout << "== ABL-VDD1: capacity floor at VDD1 vs DPCS savings and "
                "overhead (Config B) ==\n\n";

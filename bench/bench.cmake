@@ -43,3 +43,14 @@ pcs_add_usage_test(bench_fig4_simulation_rejects_sweep_lanes
                    bench_fig4_simulation "" --sweep-lanes)
 pcs_add_usage_test(bench_fig3_yield_rejects_sweep_lanes bench_fig3_yield ""
                    --sweep-lanes)
+
+# Numeric env knobs go through parse_u64_token: a malformed value names the
+# variable and is a usage error, never a silent 0.
+pcs_add_usage_test(bench_fig4_simulation_rejects_bad_refs
+                   bench_fig4_simulation "PCS_REFS: malformed integer '12abc'")
+set_tests_properties(bench_fig4_simulation_rejects_bad_refs PROPERTIES
+                     ENVIRONMENT "PCS_REFS=12abc")
+pcs_add_usage_test(bench_fig3_yield_rejects_bad_trials bench_fig3_yield
+                   "PCS_TRIALS: malformed integer 'abc'")
+set_tests_properties(bench_fig3_yield_rejects_bad_trials PROPERTIES
+                     ENVIRONMENT "PCS_TRIALS=abc")

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_env.hpp"
 #include "exp/thread_pool.hpp"
 #include "multicore/multi_system.hpp"
 #include "util/table.hpp"
@@ -55,10 +56,10 @@ MultiSimReport run(u32 cores, PolicyKind kind, double shared_frac, u64 refs) {
 }  // namespace
 
 int main() {
-  u64 refs = 400'000;  // per core
-  if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 4;
-  }
+  // The default is 400'000 refs per core; PCS_REFS is divided by 4.
+  const u64 refs = env_u64_or_exit("PCS_REFS", 4 * 400'000,
+                                   "[PCS_REFS=N] ext_multicore") /
+                   4;
 
   std::cout << "== EXT-MC: multi-core PCS on Config A (mix: hmmer/gcc/"
                "h264ref/sjeng, " << fmt_count(refs) << " refs/core) ==\n\n";

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "bench_env.hpp"
 #include "core/system.hpp"
 #include "util/table.hpp"
 #include "workload/spec_profiles.hpp"
@@ -49,10 +50,10 @@ Outcome run(u32 levels, const char* wl, u64 refs) {
 }  // namespace
 
 int main() {
-  u64 refs = 600'000;
-  if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 3;
-  }
+  // The default is 600'000 refs; PCS_REFS is divided by 3.
+  const u64 refs = env_u64_or_exit("PCS_REFS", 3 * 600'000,
+                                   "[PCS_REFS=N] ext_nlevels_dpcs") /
+                   3;
 
   std::cout << "== EXT-N: DPCS over deeper VDD ladders (Config A) ==\n\n";
   TextTable t({"N levels", "FM bits+Faulty", "workload", "DPCS savings",

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "bench_env.hpp"
 #include "core/system.hpp"
 #include "core/system_energy.hpp"
 #include "util/stats.hpp"
@@ -32,10 +33,10 @@ SimReport run(PolicyKind kind, const char* wl, u64 refs) {
 }  // namespace
 
 int main() {
-  u64 refs = 800'000;
-  if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10) / 2;
-  }
+  // The default is 800'000 refs; PCS_REFS is divided by 2.
+  const u64 refs = env_u64_or_exit("PCS_REFS", 2 * 800'000,
+                                   "[PCS_REFS=N] ext_system_energy") /
+                   2;
   const SystemEnergyModel model({}, SystemConfig::config_a().clock_ghz * 1e9);
 
   std::cout << "== EXT-SYS: whole-system energy (core + DRAM + caches, "

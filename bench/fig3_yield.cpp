@@ -14,6 +14,7 @@
 #include <iostream>
 #include <vector>
 
+#include "bench_env.hpp"
 #include "baselines/ecc.hpp"
 #include "baselines/fft_cache.hpp"
 #include "exp/sweep_engine.hpp"
@@ -23,11 +24,13 @@
 
 using namespace pcs;
 
-int main(int argc, char** argv) {
+int main(int argc, char**) {
+  const char* usage = "[PCS_TRIALS=N] fig3_yield";
   if (argc > 1) {
-    std::cerr << "usage: " << argv[0] << "\n";
+    std::cerr << "usage: " << usage << "\n";
     return 2;
   }
+  const u64 trials = env_u64_or_exit("PCS_TRIALS", 2000, usage);
   const auto tech = Technology::soi45();
   const CacheOrg org{64 * 1024, 4, 64, 31};
   BerModel ber(tech);
@@ -84,10 +87,6 @@ int main(int argc, char** argv) {
   // v > vf; a set survives iff its best way works; the whole chip survives
   // iff every set does -- so one scalar per die (the max over sets of the
   // min over ways of vf) encodes its pass/fail at *every* voltage.
-  u64 trials = 2000;
-  if (const char* env = std::getenv("PCS_TRIALS")) {
-    trials = std::strtoull(env, nullptr, 10);
-  }
   if (trials == 0) return 0;  // PCS_TRIALS=0 opts out of the cross-check
   const u64 mc_seed = 7;
   const std::vector<double> probes = {0.60, 0.625, 0.65, 0.70, 0.75};

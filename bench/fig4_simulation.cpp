@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_env.hpp"
 #include "core/system.hpp"
 #include "exp/experiment_runner.hpp"
 #include "exp/sweep_engine.hpp"
@@ -182,15 +183,13 @@ void report_config(const SystemConfig& cfg, const std::vector<Row>& rows) {
 int main(int argc, char** argv) {
   // Default scaled so the biggest (Config B) caches reach DPCS steady state
   // within the measured window; PCS_REFS trades fidelity for wall clock.
-  u64 refs = 2'000'000;
-  if (const char* env = std::getenv("PCS_REFS")) {
-    refs = std::strtoull(env, nullptr, 10);
-  }
+  const char* usage = "[PCS_REFS=N] fig4_simulation [--trace-file PATH]...";
+  const u64 refs = env_u64_or_exit("PCS_REFS", 2'000'000, usage);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-file") == 0 && i + 1 < argc) {
       g_trace_files.emplace_back(argv[++i]);
     } else {
-      std::cerr << "usage: " << argv[0] << " [--trace-file PATH]...\n";
+      std::cerr << "usage: " << usage << "\n";
       return 2;
     }
   }

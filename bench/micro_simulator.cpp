@@ -40,16 +40,26 @@ namespace {
 
 using namespace pcs;
 
+/// One 64 KB level at assoc range(0) (tag rows of 4, 8 and 16 -- the
+/// unrolled match widths), random blocks over range(1) x the cache size:
+/// span_x 1 is hit-heavy (every set holds its whole footprint once warm),
+/// span_x 16 is miss-heavy (~94% misses). Which way hits is random, so the
+/// hit-heavy rows time the way match itself.
 void BM_CacheLevelAccess(benchmark::State& state) {
-  CacheLevel cache("l1", CacheOrg{64 * 1024, 4, 64, 31}, 2);
+  const u32 assoc = static_cast<u32>(state.range(0));
+  const u64 size = 64 * 1024;
+  CacheLevel cache("l1", CacheOrg{size, assoc, 64, 31}, 2);
+  const u64 span = size * static_cast<u64>(state.range(1));
   Rng rng(1);
   for (auto _ : state) {
-    const u64 addr = rng.uniform_int(256 * 1024) & ~63ULL;
+    const u64 addr = rng.uniform_int(span) & ~63ULL;
     benchmark::DoNotOptimize(cache.access(addr, (addr & 64) != 0));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheLevelAccess);
+BENCHMARK(BM_CacheLevelAccess)
+    ->ArgNames({"assoc", "span_x"})
+    ->ArgsProduct({{4, 8, 16}, {1, 16}});
 
 void BM_HierarchyAccess(benchmark::State& state) {
   HierarchyConfig cfg;

@@ -163,14 +163,8 @@ bool CacheLevel::set_block_faulty(u64 set, u32 way, bool faulty) {
 }
 
 int CacheLevel::find_way(u64 addr) const noexcept {
-  const u64 set = set_of(addr);
-  const u64 tag = tag_of(addr);
-  const u64* tags = &tags_[set << assoc_shift_];
-  for (u32 vm = valid_bits_[set]; vm != 0; vm &= vm - 1) {
-    const u32 w = static_cast<u32>(std::countr_zero(vm));
-    if (tags[w] == tag) return static_cast<int>(w);
-  }
-  return -1;
+  const u32 hits = hit_mask(set_of(addr), tag_of(addr));
+  return hits != 0 ? std::countr_zero(hits) : -1;
 }
 
 bool CacheLevel::invalidate(u64 set, u32 way) {

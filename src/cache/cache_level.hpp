@@ -8,15 +8,17 @@
 //
 // Hot-path layout (see DESIGN.md section 9): state is structure-of-arrays --
 // a contiguous u64 tag array plus one packed u32 valid/dirty/faulty bitmask
-// per set -- so a lookup is a linear scan of one tag row and the allowed-way
-// mask is a single load (`~faulty_mask(set)`), maintained incrementally by
-// set_block_faulty()/invalidate() instead of rescanned per miss. The
-// replacement policy is devirtualized: the constructor picks a ReplKind and
-// access()/receive_writeback() dispatch once per reference to a template
-// instantiation whose touch/victim/rank operations inline (packed-u64 LRU
-// nibble permutation, packed-u32 tree-PLRU). Results are bit-identical to
-// the virtual-policy AoS implementation, which survives as the reference
-// model in tests/test_cache_equivalence.cpp.
+// per set -- so a lookup compares the tag against every entry of one tag
+// row with no early exit and ANDs the match bits with the set's valid mask
+// (hit way = lowest set bit; no data-dependent branch per way), and the
+// allowed-way mask is a single load (`~faulty_mask(set)`), maintained
+// incrementally by set_block_faulty()/invalidate() instead of rescanned per
+// miss. The replacement policy is devirtualized: the constructor picks a
+// ReplKind and access()/receive_writeback() dispatch once per reference to
+// a template instantiation whose touch/victim/rank operations inline
+// (packed-u64 LRU nibble permutation, packed-u32 tree-PLRU). Results are
+// bit-identical to the virtual-policy AoS implementation, which survives as
+// the reference model in tests/test_cache_equivalence.cpp.
 //
 // Storage may be bound to an external CacheArena (SoA-across-configs; see
 // cache_arena.hpp and DESIGN.md section 12) so that the sweep engine's N
@@ -240,6 +242,11 @@ class CacheLevel {
 
  private:
   u64 tag_of(u64 addr) const noexcept { return addr >> tag_shift_; }
+
+  /// Valid ways of `set` holding `tag` (at most one bit): the single
+  /// lookup behind access, receive_writeback and find_way. Defined in
+  /// cache_level_inl.hpp.
+  u32 hit_mask(u64 set, u64 tag) const noexcept;
 
   template <ReplKind K>
   u32 hit_rank_and_touch(u64 set, u32 way);

@@ -81,6 +81,48 @@ u32 CacheLevel::repl_victim(u64 set, u32 allowed) const {
   }
 }
 
+// ---- Way match --------------------------------------------------------------
+
+namespace detail {
+
+/// Bit w set iff row[w] == tag, over a W-entry row; no early exit, so the
+/// cost does not depend on which way (if any) matches.
+template <u32 W>
+inline u32 tag_row_match(const u64* row, u64 tag) noexcept {
+  u32 m = 0;
+  for (u32 w = 0; w < W; ++w) m |= static_cast<u32>(row[w] == tag) << w;
+  return m;
+}
+
+}  // namespace detail
+
+inline u32 CacheLevel::hit_mask(u64 set, u64 tag) const noexcept {
+  // Compare the whole padded row, then keep valid ways only. The valid mask
+  // excludes padding (ways >= assoc, zero-filled, so equal to a tag of 0)
+  // and stale tags left in invalidated or faulty ways; a valid tag occurs
+  // at most once per set, so countr_zero of the result is the way the
+  // ascending early-exit scan used to find.
+  const u64* row = &tags_[set << assoc_shift_];
+  u32 m = 0;
+  switch (assoc_shift_) {
+    case 2:
+      m = detail::tag_row_match<4>(row, tag);
+      break;
+    case 3:
+      m = detail::tag_row_match<8>(row, tag);
+      break;
+    case 4:
+      m = detail::tag_row_match<16>(row, tag);
+      break;
+    default:
+      for (u32 w = 0; w < (1u << assoc_shift_); ++w) {
+        m |= static_cast<u32>(row[w] == tag) << w;
+      }
+      break;
+  }
+  return m & valid_bits_[set];
+}
+
 // ---- Access paths ---------------------------------------------------------
 
 template <CacheLevel::ReplKind K>
@@ -97,15 +139,13 @@ CacheLevel::AccessResult CacheLevel::access_impl(u64 addr, bool write) {
   const u64* tags = &tags_[set << assoc_shift_];
 
   AccessResult res;
-  for (u32 vm = valid_bits_[set]; vm != 0; vm &= vm - 1) {
-    const u32 w = static_cast<u32>(std::countr_zero(vm));
-    if (tags[w] == tag) {
-      ++stats_.hits;
-      ++stats_.hits_by_rank[hit_rank_and_touch<K>(set, w)];
-      res.hit = true;
-      dirty_bits_[set] |= static_cast<u32>(write) << w;
-      return res;
-    }
+  if (const u32 hits = hit_mask(set, tag); hits != 0) {
+    const u32 w = static_cast<u32>(std::countr_zero(hits));
+    ++stats_.hits;
+    ++stats_.hits_by_rank[hit_rank_and_touch<K>(set, w)];
+    res.hit = true;
+    dirty_bits_[set] |= static_cast<u32>(write) << w;
+    return res;
   }
 
   ++stats_.misses;
@@ -146,14 +186,12 @@ CacheLevel::AccessResult CacheLevel::receive_writeback_impl(u64 addr) {
   const u64* tags = &tags_[set << assoc_shift_];
 
   AccessResult res;
-  for (u32 vm = valid_bits_[set]; vm != 0; vm &= vm - 1) {
-    const u32 w = static_cast<u32>(std::countr_zero(vm));
-    if (tags[w] == tag) {
-      res.hit = true;
-      dirty_bits_[set] |= 1u << w;
-      repl_touch<K>(set, w);
-      return res;
-    }
+  if (const u32 hits = hit_mask(set, tag); hits != 0) {
+    const u32 w = static_cast<u32>(std::countr_zero(hits));
+    res.hit = true;
+    dirty_bits_[set] |= 1u << w;
+    repl_touch<K>(set, w);
+    return res;
   }
 
   // Write-allocate the incoming block.

@@ -26,6 +26,8 @@ struct CacheLevelConfig {
   /// SuperIntervals so the periodic park-to-SPCS (which invalidates and
   /// later refills every gated block) amortizes over more useful work.
   u32 super_interval = 10;
+
+  bool operator==(const CacheLevelConfig&) const = default;
 };
 
 /// Whole-system configuration.
@@ -64,6 +66,12 @@ struct SystemConfig {
 
   /// The plumbing view consumed by Hierarchy.
   HierarchyConfig hierarchy_config() const;
+
+  /// Field-wise equality (the sweep engine shares a manufactured die
+  /// between lanes of equal config). `replacement` compares by pointer, so
+  /// two equal names at different addresses compare unequal -- a
+  /// conservative mismatch that only costs a second manufacture.
+  bool operator==(const SystemConfig&) const = default;
 };
 
 }  // namespace pcs

@@ -25,44 +25,37 @@ const char* to_string(PolicyKind kind) noexcept {
 PcsSystem::PcsSystem(const SystemConfig& config, PolicyKind kind,
                      u64 chip_seed, CacheArena* arena)
     : cfg_(config), kind_(kind) {
-  hier_ = std::make_unique<Hierarchy>(cfg_.hierarchy_config(), arena);
-  cpu_ = std::make_unique<CpuModel>(*hier_, cfg_.clock_ghz);
+  if (kind_ == PolicyKind::kBaseline) {
+    assemble(nullptr, arena);
+  } else {
+    ManufacturedDie die = manufacture(cfg_, chip_seed);
+    assemble(&die, arena);
+  }
+}
 
-  Rng chip_rng(chip_seed);
-  ctl_l1i_ = make_controller(hier_->l1i(), cfg_.l1i, chip_rng.next_u64(),
-                             &ladder_l1i_);
-  ctl_l1d_ = make_controller(hier_->l1d(), cfg_.l1d, chip_rng.next_u64(),
-                             &ladder_l1d_);
-  ctl_l2_ =
-      make_controller(hier_->l2(), cfg_.l2, chip_rng.next_u64(), &ladder_l2_);
+PcsSystem::PcsSystem(const SystemConfig& config, PolicyKind kind,
+                     ManufacturedDie die, CacheArena* arena)
+    : cfg_(config), kind_(kind) {
+  assemble(kind_ == PolicyKind::kBaseline ? nullptr : &die, arena);
 }
 
 CacheArena::Spec PcsSystem::storage_spec(const SystemConfig& config) {
   return Hierarchy::storage_spec(config.hierarchy_config());
 }
 
-std::unique_ptr<PcsController> PcsSystem::make_controller(
-    CacheLevel& cache, const CacheLevelConfig& lc, u64 seed, VddLadder* out) {
-  const Technology& tech = cfg_.tech;
-  const double clock_hz = cfg_.clock_ghz * 1e9;
+namespace {
 
-  if (kind_ == PolicyKind::kBaseline) {
-    CachePowerModel model(tech, lc.org, MechanismSpec::baseline());
-    EnergyMeter meter(model, clock_hz, tech.vdd_nominal, 0.0);
-    *out = VddLadder{{tech.vdd_nominal}, 1};
-    return std::make_unique<PcsController>(cache, *cpu_, std::move(meter));
-  }
-
+ManufacturedLevel manufacture_level(const SystemConfig& cfg,
+                                    const CacheLevelConfig& lc, u64 seed) {
   // Design-time selection for this organisation...
-  BerModel ber(tech);
-  VddSelector selector(tech, ber, lc.org);
+  BerModel ber(cfg.tech);
+  VddSelector selector(cfg.tech, ber, lc.org);
   VddSelectionParams sel;
-  sel.yield_target = cfg_.yield_target;
-  sel.capacity_target = cfg_.capacity_target;
-  sel.vdd1_capacity_floor = cfg_.vdd1_capacity_floor;
-  sel.num_levels = cfg_.num_vdd_levels;
+  sel.yield_target = cfg.yield_target;
+  sel.capacity_target = cfg.capacity_target;
+  sel.vdd1_capacity_floor = cfg.vdd1_capacity_floor;
+  sel.num_levels = cfg.num_vdd_levels;
   VddLadder ladder = selector.select(sel);
-  *out = ladder;
 
   // ... then manufacture this particular die.
   Rng rng(seed);
@@ -79,9 +72,53 @@ std::unique_ptr<PcsController> PcsSystem::make_controller(
       break;
     }
   }
+  return {std::move(ladder), std::move(map), min_viable};
+}
 
-  auto mech = std::make_unique<PcsMechanism>(cache, std::move(map), ladder,
-                                             ladder.spcs_level,
+}  // namespace
+
+ManufacturedDie PcsSystem::manufacture(const SystemConfig& config,
+                                       u64 chip_seed) {
+  Rng chip_rng(chip_seed);
+  const u64 l1i_seed = chip_rng.next_u64();
+  const u64 l1d_seed = chip_rng.next_u64();
+  const u64 l2_seed = chip_rng.next_u64();
+  return {manufacture_level(config, config.l1i, l1i_seed),
+          manufacture_level(config, config.l1d, l1d_seed),
+          manufacture_level(config, config.l2, l2_seed)};
+}
+
+void PcsSystem::assemble(ManufacturedDie* die, CacheArena* arena) {
+  hier_ = std::make_unique<Hierarchy>(cfg_.hierarchy_config(), arena);
+  cpu_ = std::make_unique<CpuModel>(*hier_, cfg_.clock_ghz);
+  ctl_l1i_ = make_controller(hier_->l1i(), cfg_.l1i,
+                             die ? &die->l1i : nullptr, &ladder_l1i_);
+  ctl_l1d_ = make_controller(hier_->l1d(), cfg_.l1d,
+                             die ? &die->l1d : nullptr, &ladder_l1d_);
+  ctl_l2_ = make_controller(hier_->l2(), cfg_.l2, die ? &die->l2 : nullptr,
+                            &ladder_l2_);
+}
+
+std::unique_ptr<PcsController> PcsSystem::make_controller(
+    CacheLevel& cache, const CacheLevelConfig& lc, ManufacturedLevel* die,
+    VddLadder* out) {
+  const Technology& tech = cfg_.tech;
+  const double clock_hz = cfg_.clock_ghz * 1e9;
+
+  if (die == nullptr) {
+    CachePowerModel model(tech, lc.org, MechanismSpec::baseline());
+    EnergyMeter meter(model, clock_hz, tech.vdd_nominal, 0.0);
+    *out = VddLadder{{tech.vdd_nominal}, 1};
+    return std::make_unique<PcsController>(cache, *cpu_, std::move(meter));
+  }
+  if (die->map.num_blocks() != lc.org.num_blocks()) {
+    throw std::invalid_argument("die manufactured for another organisation");
+  }
+
+  const VddLadder& ladder = die->ladder;
+  *out = ladder;
+  auto mech = std::make_unique<PcsMechanism>(cache, std::move(die->map),
+                                             ladder, ladder.spcs_level,
                                              cfg_.settle_penalty);
 
   std::unique_ptr<PcsPolicy> policy;
@@ -96,7 +133,8 @@ std::unique_ptr<PcsController> PcsSystem::make_controller(
     dp.hit_latency = lc.hit_latency;
     dp.miss_penalty = lc.miss_penalty_estimate;
     dp.transition_penalty = mech->transition_penalty();
-    policy = std::make_unique<DpcsPolicy>(dp, ladder.spcs_level, min_viable);
+    policy = std::make_unique<DpcsPolicy>(dp, ladder.spcs_level,
+                                          die->min_viable);
   }
 
   CachePowerModel model(tech, lc.org,

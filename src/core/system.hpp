@@ -17,6 +17,7 @@
 #include "core/config.hpp"
 #include "core/controller.hpp"
 #include "core/vdd_levels.hpp"
+#include "fault/fault_map.hpp"
 #include "util/types.hpp"
 
 namespace pcs {
@@ -89,15 +90,46 @@ struct SimReport {
   bool operator==(const SimReport&) const = default;
 };
 
+/// One cache level of a manufactured die: the design-time VDD ladder, this
+/// die's fault map, and the lowest level at which every set keeps a usable
+/// way (the DPCS floor).
+struct ManufacturedLevel {
+  VddLadder ladder;
+  FaultMap map;
+  u32 min_viable = 0;
+};
+
+/// Everything a PCS system derives from (config, chip_seed) before wiring
+/// its controllers. Baseline systems use none of it.
+struct ManufacturedDie {
+  ManufacturedLevel l1i, l1d, l2;
+};
+
 /// A manufactured, policy-equipped simulated system.
 class PcsSystem {
  public:
   /// `chip_seed` fixes the manufactured fault maps (one die); reruns with
   /// the same seed land on the same chip. When `arena` is non-null the
   /// hierarchy's SoA state is carved from it (reserve() it with
-  /// storage_spec() first; see cache_arena.hpp).
+  /// storage_spec() first; see cache_arena.hpp). Non-baseline kinds
+  /// manufacture through manufacture(); baseline manufactures nothing.
   PcsSystem(const SystemConfig& config, PolicyKind kind, u64 chip_seed,
             CacheArena* arena = nullptr);
+
+  /// Builds on an already-manufactured die, which must come from
+  /// manufacture(config, ...) for this same config; the system keeps its
+  /// own copy. Identical to the chip-seed constructor for the die's seed,
+  /// so SPCS and DPCS systems of one chip can share one manufacture. A
+  /// baseline system ignores `die`.
+  PcsSystem(const SystemConfig& config, PolicyKind kind, ManufacturedDie die,
+            CacheArena* arena = nullptr);
+
+  /// Manufactures one die: selects each level's VDD ladder, then samples
+  /// its fault field from a seed drawn from Rng(chip_seed) in L1I, L1D, L2
+  /// order. Throws std::invalid_argument when a ladder's targets are
+  /// unmeetable.
+  static ManufacturedDie manufacture(const SystemConfig& config,
+                                     u64 chip_seed);
 
   /// Arena slab footprint of one system built from `config`.
   static CacheArena::Spec storage_spec(const SystemConfig& config);
@@ -152,9 +184,12 @@ class PcsSystem {
   const VddLadder& ladder(const std::string& level) const;
 
  private:
+  /// Shared tail of both constructors; `die` is null for baseline.
+  void assemble(ManufacturedDie* die, CacheArena* arena);
   std::unique_ptr<PcsController> make_controller(CacheLevel& cache,
                                                  const CacheLevelConfig& lc,
-                                                 u64 seed, VddLadder* out);
+                                                 ManufacturedLevel* die,
+                                                 VddLadder* out);
 
   SystemConfig cfg_;
   PolicyKind kind_;

@@ -470,6 +470,11 @@ void run_sim_job(const SimJobSpec& o, std::ostream& out, u32 num_threads,
     throw std::invalid_argument("unknown policy '" + o.policy + "'");
   }
 
+  // Under "all" the SPCS and DPCS runs share one chip: manufacture it once,
+  // up front, and give each system its own copy.
+  std::optional<ManufacturedDie> die;
+  if (o.policy == "all") die = PcsSystem::manufacture(cfg, o.chip_seed);
+
   // The policy runs are independent simulations; fan them across the
   // workers (each builds its own trace and system -- a file workload just
   // gets one FileTrace handle per task) and report in policy order,
@@ -482,7 +487,8 @@ void run_sim_job(const SimJobSpec& o, std::ostream& out, u32 num_threads,
       num_threads == 0 ? pcs_thread_count() : num_threads, kinds.size(),
       [&](u64 i) {
         auto src = make_workload_source(o.workload, o.trace_seed);
-        PcsSystem sys(cfg, kinds[i], o.chip_seed);
+        PcsSystem sys = die ? PcsSystem(cfg, kinds[i], *die)
+                            : PcsSystem(cfg, kinds[i], o.chip_seed);
         if (tracing) sys.set_trace(&task_traces[i]);
         return sys.run(*src, rp);
       });

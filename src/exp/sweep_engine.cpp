@@ -179,12 +179,36 @@ std::vector<SimReport> run_shard(const std::vector<ExperimentPoint>& points,
 
   std::vector<Lane> lanes;
   lanes.reserve(idxs.size());
-  for (const u64 i : idxs) {
-    Lane lane;
-    lane.sys = std::make_unique<PcsSystem>(
-        points[i].config, points[i].policy, points[i].chip_seed, &arena);
-    if (traces) lane.sys->set_trace(&traces[i]);
-    lanes.push_back(std::move(lane));
+  {
+    // Lanes of one (config, chip_seed) -- Fig. 4's SPCS and DPCS of a die --
+    // share one manufacture. The dies die with this scope, before the
+    // shard's event loop runs.
+    struct Die {
+      const ExperimentPoint* owner;
+      ManufacturedDie die;
+    };
+    std::vector<Die> dies;
+    for (const u64 i : idxs) {
+      const ExperimentPoint& p = points[i];
+      Lane lane;
+      if (p.policy == PolicyKind::kBaseline) {
+        lane.sys = std::make_unique<PcsSystem>(p.config, p.policy,
+                                               p.chip_seed, &arena);
+      } else {
+        auto it = std::find_if(dies.begin(), dies.end(), [&](const Die& d) {
+          return d.owner->chip_seed == p.chip_seed &&
+                 d.owner->config == p.config;
+        });
+        if (it == dies.end()) {
+          dies.push_back({&p, PcsSystem::manufacture(p.config, p.chip_seed)});
+          it = dies.end() - 1;
+        }
+        lane.sys = std::make_unique<PcsSystem>(p.config, p.policy, it->die,
+                                               &arena);
+      }
+      if (traces) lane.sys->set_trace(&traces[i]);
+      lanes.push_back(std::move(lane));
+    }
   }
 
   const ExperimentPoint& head = points[idxs[0]];

@@ -23,8 +23,9 @@
 //
 // Determinism argument (DESIGN.md section 12): lanes never share mutable
 // state -- each owns its hierarchy, controllers, meters, and RNG-derived
-// fault maps; the shared trace generator is read-only broadcast after
-// decode. Shard composition depends only on the grid and max_lanes, never
+// fault maps (lanes of one (config, chip_seed) copy their maps from one
+// manufacture per shard); the shared trace generator is read-only
+// broadcast after decode. Shard composition depends only on the grid and max_lanes, never
 // on the thread count, and reports are deposited by grid index. Telemetry
 // follows the experiment-runner discipline: per-lane buffered sinks
 // replayed in grid order (deterministic section byte-identical to the

@@ -77,6 +77,8 @@ struct Technology {
   /// A deliberately leakier / more variable corner, used by tests and the
   /// ablation benches to check model monotonicity under different constants.
   static Technology soi45_worst_corner();
+
+  bool operator==(const Technology&) const = default;
 };
 
 }  // namespace pcs

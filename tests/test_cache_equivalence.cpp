@@ -85,6 +85,16 @@ class ReferenceCache {
     return res;
   }
 
+  /// Lowest valid way holding `addr`'s block, or -1 (CacheLevel::find_way).
+  int find_way(u64 addr) const {
+    const u64 set = set_of(addr);
+    for (u32 w = 0; w < org_.assoc; ++w) {
+      const Line& l = lines_[set * org_.assoc + w];
+      if (l.valid && l.tag == tag_of(addr)) return static_cast<int>(w);
+    }
+    return -1;
+  }
+
   AccessResult receive_writeback(u64 addr) {
     ++stats_.writebacks_in;
     const u64 set = set_of(addr);
@@ -238,6 +248,7 @@ void run_differential(const CacheOrg& org, const char* policy, u64 seed,
     if (kind < 70) {
       const u64 addr = rng.uniform_int(span) & ~7ULL;
       const bool write = rng.bernoulli(0.3);
+      ASSERT_EQ(opt.find_way(addr), ref.find_way(addr)) << "op " << op;
       expect_results_equal(opt.access(addr, write), ref.access(addr, write),
                            op);
     } else if (kind < 80) {
@@ -304,13 +315,22 @@ TEST(CacheEquivalence, EdgeAssociativities) {
                    150'000);
 }
 
-/// Non-power-of-two associativities (17- and 24-way; sets stay a power of
-/// two, tag rows are padded to 32): the byte-rank LRU path with a partial
-/// top row -- only "lru" is legal here, tree-PLRU rejects odd widths.
+/// Non-power-of-two associativities; sets stay a power of two and tag rows
+/// are padded to the next power of two. 17 and 24 ways pad to 32 (the
+/// byte-rank LRU path with a partial top row); 3 ways pad to 4, 5 and 6 to
+/// 8, and 12 to 16 -- the unrolled way-match widths. The padding is
+/// zero-filled, so the 4x span keeps tag-0 addresses (equal to a padded
+/// entry) in the stream and the match mask must drop them via the valid
+/// bits. Only "lru" is legal here: tree-PLRU rejects odd widths.
 TEST(CacheEquivalence, NonPowerOfTwoAssociativities) {
   run_differential(CacheOrg{64 * 17 * 64, 17, 64, 31}, "lru", 0x171,
                    150'000);
   run_differential(CacheOrg{32 * 24 * 64, 24, 64, 31}, "lru", 0x242,
+                   150'000);
+  run_differential(CacheOrg{64 * 3 * 64, 3, 64, 31}, "lru", 0x303, 150'000);
+  run_differential(CacheOrg{64 * 5 * 64, 5, 64, 31}, "lru", 0x505, 150'000);
+  run_differential(CacheOrg{64 * 6 * 64, 6, 64, 31}, "lru", 0x606, 150'000);
+  run_differential(CacheOrg{32 * 12 * 64, 12, 64, 31}, "lru", 0xC0C,
                    150'000);
   EXPECT_THROW(CacheLevel("bad", CacheOrg{64 * 17 * 64, 17, 64, 31}, 1,
                           "tree-plru"),

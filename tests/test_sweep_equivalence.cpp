@@ -258,6 +258,68 @@ TEST(SweepSystem, PerTaskSeedsDegradeToSingleLaneGroups) {
   }
 }
 
+/// run_shard manufactures one die per (config, chip_seed) among its
+/// non-baseline lanes. Lanes below share a chip seed across configs that
+/// differ (A vs B, A vs a 4-level A, A vs a 99.9%-yield A), and share a
+/// config across different seeds; a die handed to the wrong lane shows up
+/// as a report that differs from run_one's, at some lane count.
+TEST(SweepSystem, SharedDiesMatchRunOneAtAnyShape) {
+  RunParams rp;
+  rp.max_refs = 8'000;
+  rp.warmup_refs = 2'000;
+  SystemConfig a = SystemConfig::config_a();
+  SystemConfig a4 = a;
+  a4.num_vdd_levels = 4;
+  SystemConfig a_yield = a;
+  a_yield.yield_target = 0.999;
+  const SystemConfig b = SystemConfig::config_b();
+
+  struct Lane {
+    const SystemConfig* cfg;
+    PolicyKind kind;
+    u64 chip_seed;
+  };
+  const Lane lanes[] = {
+      {&a, PolicyKind::kStatic, 5},       {&b, PolicyKind::kStatic, 5},
+      {&a4, PolicyKind::kDynamic, 5},     {&a_yield, PolicyKind::kStatic, 5},
+      {&a, PolicyKind::kBaseline, 5},     {&a, PolicyKind::kDynamic, 5},
+      {&b, PolicyKind::kDynamic, 5},      {&a4, PolicyKind::kStatic, 5},
+      {&a_yield, PolicyKind::kDynamic, 5}, {&a, PolicyKind::kDynamic, 6},
+      {&a, PolicyKind::kStatic, 7},       {&a, PolicyKind::kDynamic, 7},
+  };
+  std::vector<ExperimentPoint> points;
+  for (const Lane& l : lanes) {
+    ExperimentPoint p;
+    p.index = points.size();
+    p.config = *l.cfg;
+    p.workload = "gcc";
+    p.policy = l.kind;
+    p.chip_seed = l.chip_seed;
+    p.trace_seed = 42;
+    p.params = rp;
+    points.push_back(std::move(p));
+  }
+  std::vector<SimReport> want;
+  for (const auto& p : points) {
+    want.push_back(run_one(p.config, p.workload, p.policy, p.chip_seed,
+                           p.trace_seed, p.params));
+  }
+
+  for (const u32 max_lanes : {1u, 4u, 16u}) {
+    for (const u32 threads : {1u, 4u}) {
+      SweepOptions opt;
+      opt.num_threads = threads;
+      opt.max_lanes = max_lanes;
+      const auto got = SweepRunner(opt).run(points);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i], want[i]) << "point " << i << " lanes=" << max_lanes
+                                   << " threads=" << threads;
+      }
+    }
+  }
+}
+
 // ---- Fig. 3d kernels --------------------------------------------------------
 
 TEST(SweepYield, PassCountsMatchPerVoltageScans) {

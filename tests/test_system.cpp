@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "fault/yield_model.hpp"
 #include "workload/spec_profiles.hpp"
 
@@ -213,6 +216,101 @@ TEST(System, LadderAccessorValidatesName) {
   PcsSystem sys(SystemConfig::config_a(), PolicyKind::kStatic, 1);
   EXPECT_NO_THROW(sys.ladder("L1I"));
   EXPECT_THROW(sys.ladder("L3"), std::invalid_argument);
+}
+
+/// A system built on a shared die is the system the chip-seed constructor
+/// builds, for every policy; the die is copied, so reuse is safe.
+TEST(System, SharedDieMatchesChipSeedConstructor) {
+  const auto cfg = SystemConfig::config_a();
+  const ManufacturedDie die = PcsSystem::manufacture(cfg, 9);
+  for (const auto kind : {PolicyKind::kBaseline, PolicyKind::kStatic,
+                          PolicyKind::kDynamic}) {
+    auto t1 = make_spec_trace("gcc", 42);
+    auto t2 = make_spec_trace("gcc", 42);
+    PcsSystem fresh(cfg, kind, 9);
+    PcsSystem shared(cfg, kind, die);
+    EXPECT_EQ(shared.run(*t2, quick()), fresh.run(*t1, quick()))
+        << to_string(kind);
+    EXPECT_EQ(shared.ladder("L2").levels, fresh.ladder("L2").levels);
+  }
+  // Manufacture is a pure function of (config, chip_seed).
+  const ManufacturedDie again = PcsSystem::manufacture(cfg, 9);
+  for (u64 b = 0; b < die.l2.map.num_blocks(); ++b) {
+    ASSERT_EQ(again.l2.map.code(b), die.l2.map.code(b)) << "block " << b;
+  }
+  EXPECT_EQ(again.l2.min_viable, die.l2.min_viable);
+}
+
+TEST(System, SharedDieMustMatchTheConfig) {
+  const ManufacturedDie die_b =
+      PcsSystem::manufacture(SystemConfig::config_b(), 9);
+  EXPECT_THROW(PcsSystem(SystemConfig::config_a(), PolicyKind::kStatic, die_b),
+               std::invalid_argument);
+  // Baseline has no fault map, so it ignores the die.
+  EXPECT_NO_THROW(
+      PcsSystem(SystemConfig::config_a(), PolicyKind::kBaseline, die_b));
+}
+
+/// The sweep engine shares a die between lanes whose configs compare
+/// equal, so a field operator== missed would silently share a wrong die.
+/// Flip every field, nested ones included, and expect a mismatch.
+TEST(SystemConfig, EqualityNoticesEveryField) {
+  const auto level_muts = [](CacheLevelConfig SystemConfig::*lvl) {
+    return std::vector<std::function<void(SystemConfig&)>>{
+        [lvl](SystemConfig& c) { (c.*lvl).org.size_bytes *= 2; },
+        [lvl](SystemConfig& c) { (c.*lvl).org.assoc *= 2; },
+        [lvl](SystemConfig& c) { (c.*lvl).org.block_bytes *= 2; },
+        [lvl](SystemConfig& c) { (c.*lvl).org.phys_addr_bits += 1; },
+        [lvl](SystemConfig& c) { (c.*lvl).hit_latency += 1; },
+        [lvl](SystemConfig& c) { (c.*lvl).dpcs_interval += 1; },
+        [lvl](SystemConfig& c) { (c.*lvl).miss_penalty_estimate += 1.0; },
+        [lvl](SystemConfig& c) { (c.*lvl).super_interval += 1; },
+    };
+  };
+  std::vector<std::function<void(SystemConfig&)>> muts = {
+      [](SystemConfig& c) { c.name = "A'"; },
+      [](SystemConfig& c) { c.clock_ghz += 0.5; },
+      [](SystemConfig& c) { c.mem_latency += 1; },
+      [](SystemConfig& c) { c.num_vdd_levels = 4; },
+      [](SystemConfig& c) { c.yield_target = 0.999; },
+      [](SystemConfig& c) { c.capacity_target = 0.98; },
+      [](SystemConfig& c) { c.vdd1_capacity_floor = 0.8; },
+      [](SystemConfig& c) { c.low_threshold = 0.04; },
+      [](SystemConfig& c) { c.high_threshold = 0.2; },
+      [](SystemConfig& c) { c.settle_penalty += 1; },
+      [](SystemConfig& c) { c.replacement = "tree-plru"; },
+      [](SystemConfig& c) { c.tech.name = "other"; },
+      [](SystemConfig& c) { c.tech.vdd_nominal += 0.1; },
+      [](SystemConfig& c) { c.tech.vdd_floor += 0.01; },
+      [](SystemConfig& c) { c.tech.vdd_step *= 2; },
+      [](SystemConfig& c) { c.tech.cell_leak_nominal *= 2; },
+      [](SystemConfig& c) { c.tech.leak_v_slope *= 2; },
+      [](SystemConfig& c) { c.tech.data_periphery_leak_frac *= 2; },
+      [](SystemConfig& c) { c.tech.tag_leak_frac_per_bit_ratio *= 2; },
+      [](SystemConfig& c) { c.tech.dyn_energy_per_bit *= 2; },
+      [](SystemConfig& c) { c.tech.dyn_data_frac /= 2; },
+      [](SystemConfig& c) { c.tech.cell_area *= 2; },
+      [](SystemConfig& c) { c.tech.array_area_efficiency /= 2; },
+      [](SystemConfig& c) { c.tech.alpha_power *= 2; },
+      [](SystemConfig& c) { c.tech.vth += 0.01; },
+      [](SystemConfig& c) { c.tech.delay_data_frac *= 2; },
+      [](SystemConfig& c) { c.tech.ber_mu += 0.01; },
+      [](SystemConfig& c) { c.tech.ber_sigma += 0.01; },
+  };
+  for (auto lvl :
+       {&SystemConfig::l1i, &SystemConfig::l1d, &SystemConfig::l2}) {
+    for (auto& m : level_muts(lvl)) muts.push_back(std::move(m));
+  }
+
+  const SystemConfig base = SystemConfig::config_a();
+  EXPECT_EQ(base, SystemConfig::config_a());
+  EXPECT_NE(base, SystemConfig::config_b());
+  for (std::size_t k = 0; k < muts.size(); ++k) {
+    SystemConfig c = base;
+    muts[k](c);
+    EXPECT_NE(c, base) << "mutation " << k;
+    EXPECT_NE(base, c) << "mutation " << k;
+  }
 }
 
 }  // namespace
