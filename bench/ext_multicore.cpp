@@ -57,9 +57,9 @@ MultiSimReport run(u32 cores, PolicyKind kind, double shared_frac, u64 refs) {
 
 int main() {
   // The default is 400'000 refs per core; PCS_REFS is divided by 4.
-  const u64 refs = env_u64_or_exit("PCS_REFS", 4 * 400'000,
-                                   "[PCS_REFS=N] ext_multicore") /
-                   4;
+  const char* usage = "[PCS_REFS=N] ext_multicore";
+  const u64 refs = env_u64_or_exit("PCS_REFS", 4 * 400'000, usage) / 4;
+  const u32 threads = threads_or_exit(usage);
 
   std::cout << "== EXT-MC: multi-core PCS on Config A (mix: hmmer/gcc/"
                "h264ref/sjeng, " << fmt_count(refs) << " refs/core) ==\n\n";
@@ -88,7 +88,7 @@ int main() {
     }
   }
   const std::vector<MultiSimReport> reports = parallel_index_map(
-      pcs_thread_count(), cells.size(), [&](u64 i) {
+      threads, cells.size(), [&](u64 i) {
         return run(cells[i].cores, cells[i].kind, cells[i].shared, refs);
       });
 

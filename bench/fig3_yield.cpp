@@ -31,6 +31,7 @@ int main(int argc, char**) {
     return 2;
   }
   const u64 trials = env_u64_or_exit("PCS_TRIALS", 2000, usage);
+  const u32 threads = threads_or_exit(usage);
   const auto tech = Technology::soi45();
   const CacheOrg org{64 * 1024, 4, 64, 31};
   BerModel ber(tech);
@@ -93,7 +94,7 @@ int main(int argc, char**) {
   // Fused sweep-engine kernels: one chip_fail_voltage scalar per die, then
   // one pass over the dies for every probe voltage.
   const std::vector<float> chip_vf =
-      chip_fail_voltages_mc(trials, mc_seed, ber, org, pcs_thread_count());
+      chip_fail_voltages_mc(trials, mc_seed, ber, org, threads);
   const std::vector<u64> pass_counts = yield_pass_counts(chip_vf, probes);
 
   std::cout << "\nMonte-Carlo cross-check (" << fmt_count(trials)

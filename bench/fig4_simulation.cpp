@@ -61,7 +61,7 @@ std::string workload_label(const std::string& workload) {
 // Fans the whole 2xWx3 grid across the pool; reports come back in grid
 // order (config-major, workload, then baseline/SPCS/DPCS), so rows[c][w]
 // is at a fixed offset regardless of which worker finished when.
-std::vector<std::vector<Row>> run_grid(u64 refs) {
+std::vector<std::vector<Row>> run_grid(u64 refs, u32 threads) {
   RunParams rp;
   rp.max_refs = refs;
   rp.warmup_refs = refs / 4;
@@ -84,7 +84,7 @@ std::vector<std::vector<Row>> run_grid(u64 refs) {
   // points; its reports are bit-identical to per-point ExperimentRunner
   // runs (pinned by the golden regression and the differential suite).
   SweepOptions opt;
-  opt.num_threads = 0;  // pcs_thread_count()
+  opt.num_threads = threads;
   const std::vector<SimReport> reports = SweepRunner(opt).run(grid, sink.get());
 
   const u64 num_wl = grid_workloads().size();
@@ -185,6 +185,7 @@ int main(int argc, char** argv) {
   // within the measured window; PCS_REFS trades fidelity for wall clock.
   const char* usage = "[PCS_REFS=N] fig4_simulation [--trace-file PATH]...";
   const u64 refs = env_u64_or_exit("PCS_REFS", 2'000'000, usage);
+  const u32 threads = threads_or_exit(usage);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace-file") == 0 && i + 1 < argc) {
       g_trace_files.emplace_back(argv[++i]);
@@ -196,7 +197,7 @@ int main(int argc, char** argv) {
   std::cout << "== FIG4: gem5-style simulation sweep (" << fmt_count(refs)
             << " measured refs per run; set PCS_REFS to change) ==\n";
 
-  const auto rows = run_grid(refs);
+  const auto rows = run_grid(refs, threads);
   report_config(SystemConfig::config_a(), rows[0]);
   report_config(SystemConfig::config_b(), rows[1]);
   return 0;

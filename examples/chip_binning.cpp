@@ -13,7 +13,8 @@
 // the completed shard prefix of an earlier run; --checkpoint-stop-after N is
 // the CI/test hook that kills the process (exit 3) after the Nth sidecar
 // write, leaving a genuinely torn run behind for a resume to finish.
-// Numeric arguments must be whole tokens; a malformed one prints usage and
+// Arguments are checked by the job service's `population` key table, exactly
+// as in a job line; a bad one, or a malformed PCS_THREADS, prints usage and
 // exits 2.
 //
 // Runs on PCS_THREADS workers; the report is byte-identical at any thread
@@ -24,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <iterator>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -51,41 +53,35 @@ int usage(const char* argv0, const char* why) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  PopulationJobSpec job;
-  job.spec.num_chips = 500;
+  // Arguments that set a `population` job key (POPULATION.md); the job
+  // service's key table parses and checks their values.
+  constexpr JobFlag kPositionals[] = {
+      {"num_chips", "chips"}, {"size_kb", "size_kb"},
+      {"assoc", "assoc"},     {"seed", "seed"},
+      {"shard_chips", "shard_chips"}, {"sigma", "sigma"}};
+  constexpr JobFlag kFlags[] = {{"--checkpoint", "checkpoint"},
+                                {"--checkpoint-shards", "checkpoint_shards"},
+                                {"--resume", "resume"}};
+  Job job;
+  job.kind = Job::Kind::kPopulation;
+  job.population.spec.num_chips = 500;
   u64 stop_after = 0;
+  u32 threads = 1;
   try {
-    int pos = 0;
+    std::size_t pos = 0;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--checkpoint" && i + 1 < argc) {
-        job.checkpoint = argv[++i];
-      } else if (arg == "--checkpoint-shards" && i + 1 < argc) {
-        job.checkpoint_shards = parse_u64_token(argv[++i], arg);
-      } else if (arg == "--resume") {
-        job.resume = true;
-      } else if (arg == "--checkpoint-stop-after" && i + 1 < argc) {
+      if (take_job_flag(job, kFlags, argc, argv, i)) continue;
+      if (arg == "--checkpoint-stop-after" && i + 1 < argc) {
         stop_after = parse_u64_token(argv[++i], arg);
+      } else if (pos < std::size(kPositionals)) {
+        set_job_key(job, kPositionals[pos].key, arg, kPositionals[pos].arg);
+        ++pos;
       } else {
-        switch (++pos) {
-          case 1: job.spec.num_chips = parse_u64_token(arg, "num_chips"); break;
-          case 2:
-            job.spec.org.size_bytes = parse_u64_token(arg, "size_kb") * 1024;
-            break;
-          case 3:
-            job.spec.org.assoc =
-                checked_assoc(parse_u64_token(arg, "assoc"), "assoc");
-            break;
-          case 4: job.spec.seed = parse_u64_token(arg, "seed"); break;
-          case 5:
-            job.spec.chips_per_shard = parse_u64_token(arg, "shard_chips");
-            break;
-          case 6: job.sigma = parse_real_token(arg, "sigma"); break;
-          default:
-            throw std::invalid_argument("unexpected argument '" + arg + "'");
-        }
+        throw std::invalid_argument("unexpected argument '" + arg + "'");
       }
     }
+    threads = pcs_thread_count();
   } catch (const std::invalid_argument& e) {
     return usage(argv[0], e.what());
   }
@@ -107,7 +103,7 @@ int main(int argc, char** argv) {
   try {
     // Same run + render path as a service-mode "population" job, so the
     // standalone report is byte-identical to the job's output file.
-    run_population_job(job, std::cout, pcs_thread_count(), sink.get(),
+    run_population_job(job.population, std::cout, threads, sink.get(),
                        stop_hook);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "chip_binning: %s\n", e.what());

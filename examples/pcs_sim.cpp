@@ -31,8 +31,11 @@
 //                         documented in POPULATION.md. Exits non-zero if
 //                         any job failed.
 //
-// Numeric arguments are whole unsigned integers (--levels fits in 32 bits);
-// a malformed or out-of-range one prints a message plus usage and exits 2.
+// Option values are checked by the job service's `sim` key table, exactly
+// as in a job line: numeric arguments are whole unsigned integers (--levels
+// fits in 32 bits), --config is A or B, --policy one of the four. A bad
+// value, or a malformed PCS_THREADS, prints a message plus usage and exits
+// 2 before any output.
 //
 // Examples:
 //   pcs_sim --config B --policy dpcs --workload mcf --refs 2000000
@@ -61,12 +64,23 @@ using namespace pcs;
 
 namespace {
 
+// Flags that set a `sim` job key (POPULATION.md); the job service's key
+// table parses and checks their values.
+constexpr JobFlag kJobFlags[] = {
+    {"--config", "config"},         {"--policy", "policy"},
+    {"--workload", "workload"},     {"--refs", "refs"},
+    {"--warmup", "warmup"},         {"--chip-seed", "chip_seed"},
+    {"--trace-seed", "trace_seed"}, {"--levels", "levels"},
+    {"--csv", "csv"},               {"--trace", "trace"},
+};
+
 struct Options {
-  SimJobSpec job;
+  Job job;  // kind sim
   std::string record_path;
   u64 record_count = 0;
   TraceFormat record_format = TraceFormat::kText;
   std::string serve_path;
+  u32 threads = 1;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -83,43 +97,12 @@ struct Options {
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
+    if (take_job_flag(o.job, kJobFlags, argc, argv, i)) continue;
     const std::string a = argv[i];
     auto need = [&](int more) {
       if (i + more >= argc) usage(argv[0]);
     };
-    if (a == "--config") {
-      need(1);
-      o.job.config = argv[++i];
-    } else if (a == "--policy") {
-      need(1);
-      o.job.policy = argv[++i];
-    } else if (a == "--workload") {
-      need(1);
-      o.job.workload = argv[++i];
-    } else if (a == "--refs") {
-      need(1);
-      o.job.refs = parse_u64_token(argv[++i], a);
-    } else if (a == "--warmup") {
-      need(1);
-      o.job.warmup = parse_u64_token(argv[++i], a);
-    } else if (a == "--chip-seed") {
-      need(1);
-      o.job.chip_seed = parse_u64_token(argv[++i], a);
-    } else if (a == "--trace-seed") {
-      need(1);
-      o.job.trace_seed = parse_u64_token(argv[++i], a);
-    } else if (a == "--levels") {
-      need(1);
-      const std::string tok = argv[++i];
-      const u64 levels = parse_u64_token(tok, a);
-      if (levels > 0xffffffffULL) {
-        throw std::invalid_argument(a + ": integer '" + tok +
-                                    "' out of range");
-      }
-      o.job.levels = static_cast<u32>(levels);
-    } else if (a == "--csv") {
-      o.job.csv = true;
-    } else if (a == "--record") {
+    if (a == "--record") {
       need(2);
       o.record_path = argv[++i];
       o.record_count = parse_u64_token(argv[++i], a);
@@ -133,9 +116,6 @@ Options parse(int argc, char** argv) {
       } else {
         usage(argv[0]);
       }
-    } else if (a == "--trace") {
-      need(1);
-      o.job.trace_path = argv[++i];
     } else if (a == "--serve") {
       need(1);
       o.serve_path = argv[++i];
@@ -143,14 +123,15 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (o.job.trace_path.empty()) {
-    if (const char* env = std::getenv("PCS_TRACE")) o.job.trace_path = env;
+  if (o.job.trace.empty()) {
+    if (const char* env = std::getenv("PCS_TRACE")) o.job.trace = env;
   }
+  o.threads = pcs_thread_count();
   return o;
 }
 
-int serve(const std::string& path) {
-  JobService service(pcs_thread_count());
+int serve(const std::string& path, u32 threads) {
+  JobService service(threads);
   std::vector<JobOutcome> outcomes;
   if (path == "-") {
     outcomes = service.serve(std::cin, std::cout);
@@ -180,10 +161,10 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
 
-  if (!o.serve_path.empty()) return serve(o.serve_path);
+  if (!o.serve_path.empty()) return serve(o.serve_path, o.threads);
 
   if (!o.record_path.empty()) {
-    auto trace = make_workload_source(o.job.workload, o.job.trace_seed);
+    auto trace = make_workload_source(o.job.sim.workload, o.job.sim.trace_seed);
     const u64 n =
         record_trace(*trace, o.record_path, o.record_count, o.record_format);
     std::printf("recorded %llu events of '%s' into %s\n",
@@ -195,12 +176,12 @@ int main(int argc, char** argv) {
   // Same run + render path as a service-mode "sim" job, which is what makes
   // a job's output file byte-identical to this standalone run.
   std::unique_ptr<TraceSink> sink;
-  if (!o.job.trace_path.empty()) {
-    sink = make_trace_sink(o.job.trace_path);
+  if (!o.job.trace.empty()) {
+    sink = make_trace_sink(o.job.trace);
     emit_trace_header(*sink);
   }
   try {
-    run_sim_job(o.job, std::cout, pcs_thread_count(), sink.get());
+    run_sim_job(o.job.sim, std::cout, o.threads, sink.get());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pcs_sim: %s\n", e.what());
     usage(argv[0]);

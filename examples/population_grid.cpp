@@ -18,13 +18,15 @@
 // this. The checkpoint flags mirror chip_binning's; the summary report is
 // byte-identical at any thread count, any shard size, and across a
 // kill+resume. PCS_TRACE writes the population_grid_point telemetry stream
-// (TELEMETRY.md). Numeric arguments and list items must be whole tokens; a
-// malformed one prints usage and exits 2.
+// (TELEMETRY.md). Arguments are checked by the job service's
+// `population_grid` key table and the grid's validate(), exactly as in a job
+// line; a bad one, or a malformed PCS_THREADS, prints usage and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -54,48 +56,42 @@ int usage(const char* argv0, const char* why) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  PopulationGridJobSpec job;
-  PopulationGridSpec& spec = job.spec;
-  spec.base.num_chips = 500;
+  // Arguments that set a `population_grid` job key (POPULATION.md); the job
+  // service's key table parses and checks their values.
+  constexpr JobFlag kPositionals[] = {{"num_chips", "chips"},
+                                      {"seed", "seed"},
+                                      {"shard_chips", "shard_chips"}};
+  constexpr JobFlag kFlags[] = {{"--sizes", "sizes_kb"},
+                                {"--assocs", "assocs"},
+                                {"--sigmas", "sigmas"},
+                                {"--checkpoint", "checkpoint"},
+                                {"--checkpoint-shards", "checkpoint_shards"},
+                                {"--resume", "resume"}};
+  Job job;
+  job.kind = Job::Kind::kPopulationGrid;
+  const PopulationGridSpec& spec = job.population_grid.spec;
+  job.population_grid.spec.base.num_chips = 500;
   std::string out_dir;
   u64 stop_after = 0;
+  u32 threads = 1;
   try {
-    int pos = 0;
+    std::size_t pos = 0;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--sizes" && i + 1 < argc) {
-        spec.sizes_kb = parse_u64_list(argv[++i], arg);
-      } else if (arg == "--assocs" && i + 1 < argc) {
-        spec.assocs.clear();
-        for (const u64 a : parse_u64_list(argv[++i], arg)) {
-          spec.assocs.push_back(checked_assoc(a, arg));
-        }
-      } else if (arg == "--sigmas" && i + 1 < argc) {
-        spec.sigmas = parse_real_list(argv[++i], arg);
-      } else if (arg == "--out-dir" && i + 1 < argc) {
+      if (take_job_flag(job, kFlags, argc, argv, i)) continue;
+      if (arg == "--out-dir" && i + 1 < argc) {
         out_dir = argv[++i];
-      } else if (arg == "--checkpoint" && i + 1 < argc) {
-        job.checkpoint = argv[++i];
-      } else if (arg == "--checkpoint-shards" && i + 1 < argc) {
-        job.checkpoint_shards = parse_u64_token(argv[++i], arg);
-      } else if (arg == "--resume") {
-        job.resume = true;
       } else if (arg == "--checkpoint-stop-after" && i + 1 < argc) {
         stop_after = parse_u64_token(argv[++i], arg);
+      } else if (pos < std::size(kPositionals)) {
+        set_job_key(job, kPositionals[pos].key, arg, kPositionals[pos].arg);
+        ++pos;
       } else {
-        switch (++pos) {
-          case 1:
-            spec.base.num_chips = parse_u64_token(arg, "num_chips");
-            break;
-          case 2: spec.base.seed = parse_u64_token(arg, "seed"); break;
-          case 3:
-            spec.base.chips_per_shard = parse_u64_token(arg, "shard_chips");
-            break;
-          default:
-            throw std::invalid_argument("unexpected argument '" + arg + "'");
-        }
+        throw std::invalid_argument("unexpected argument '" + arg + "'");
       }
     }
+    spec.validate();
+    threads = pcs_thread_count();
   } catch (const std::invalid_argument& e) {
     return usage(argv[0], e.what());
   }
@@ -117,7 +113,7 @@ int main(int argc, char** argv) {
     }
     // Same run + render path as a service-mode "population_grid" job.
     const PopulationGridResult result = run_population_grid_job(
-        job, std::cout, pcs_thread_count(), sink.get(), stop_hook);
+        job.population_grid, std::cout, threads, sink.get(), stop_hook);
 
     if (!out_dir.empty()) {
       // One standalone-equivalent report per point: the render path and the

@@ -5,8 +5,8 @@
 #include "exp/job_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -17,11 +17,11 @@
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
+#include <variant>
 
 #include "core/system.hpp"
 #include "core/system_energy.hpp"
@@ -42,19 +42,15 @@ namespace {
 // iteration ordered (determinism contract).
 
 struct JsonValue {
-  enum class Kind { kString, kNumber, kBool };
+  /// kToken is a CLI argument (set_job_key): text typed by its key.
+  enum class Kind { kString, kNumber, kBool, kToken };
   Kind kind = Kind::kString;
   std::string str;
   double num = 0.0;
   bool b = false;
 };
 
-struct JsonObj {
-  std::map<std::string, JsonValue> values;
-  /// Keys a j*() accessor has read; whatever remains is unknown to the
-  /// schema and rejects the job.
-  mutable std::set<std::string> consumed;
-};
+using JsonObj = std::map<std::string, JsonValue>;
 
 [[noreturn]] void bad_job(const std::string& what) {
   throw std::invalid_argument(what);
@@ -152,7 +148,7 @@ JsonObj parse_flat_json(const std::string& line) {
       skip_ws(s, i);
       if (i >= s.size() || s[i] != ':') bad_job("job line: expected ':'");
       ++i;
-      if (!o.values.emplace(key, parse_json_value(s, i)).second) {
+      if (!o.emplace(key, parse_json_value(s, i)).second) {
         bad_job("job line: duplicate key '" + key + "'");
       }
       skip_ws(s, i);
@@ -172,77 +168,229 @@ JsonObj parse_flat_json(const std::string& line) {
   return o;
 }
 
-// ---- Schema accessors ------------------------------------------------------
-// Every key the schema knows flows through exactly these four accessors;
-// pcs-lint SCHEMA002 scans their call sites and diffs the key literals
-// against POPULATION.md's ```job-schema block, both directions.
+// ---- Key tables ------------------------------------------------------------
+// Every job key is one JobKey entry: its name, the member it writes (whose
+// type is the value type) and an optional check. Defaults are the spec
+// structs' member initialisers. parse_job_line (JSON values) and set_job_key
+// (CLI tokens) both assign through assign_key, so a job line and the
+// equivalent CLI flag accept and reject exactly the same values.
 
-const JsonValue* jfind(const JsonObj& o, const char* key) {
-  const auto it = o.values.find(key);
-  if (it == o.values.end()) return nullptr;
-  o.consumed.insert(key);
-  return &it->second;
+template <class T>
+using Field = T& (*)(Job&);
+
+enum class Check {
+  kNone,
+  kConfig,    // string: "A" or "B"
+  kPolicy,    // string: baseline | spcs | dpcs | all
+  kRequired,  // string: present and non-empty
+  kSigma,     // real: > 0, or 0 for the soi45 calibration
+  kKilobytes, // u64: a size in KB, stored as bytes
+  kAssoc,     // u32: an associativity, 1 .. 2^32-1
+};
+
+struct JobKey {
+  const char* name;
+  std::variant<Field<std::string>, Field<u64>, Field<u32>, Field<double>,
+               Field<bool>, Field<std::vector<u64>>, Field<std::vector<u32>>,
+               Field<std::vector<double>>>
+      field;
+  Check check = Check::kNone;
+};
+
+// The population and population_grid kinds share their fleet keys: each
+// writes the same member of whichever spec the job's kind selects.
+PopulationSpec& fleet(Job& j) {
+  return j.kind == Job::Kind::kPopulation ? j.population.spec
+                                          : j.population_grid.spec.base;
+}
+CheckpointJobSpec& checkpointing(Job& j) {
+  if (j.kind == Job::Kind::kPopulation) return j.population;
+  return j.population_grid;
 }
 
-std::string jstr(const JsonObj& o, const char* key,
-                 const std::string& fallback) {
-  const JsonValue* v = jfind(o, key);
-  if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::kString) {
-    bad_job(std::string("job key '") + key + "': expected a string");
-  }
-  return v->str;
-}
+const JobKey kJobKeys[] = {
+    {"id", [](Job& j) -> auto& { return j.id; }},
+    {"out", [](Job& j) -> auto& { return j.out; }},
+    {"trace", [](Job& j) -> auto& { return j.trace; }},
+};
 
-u64 jnum(const JsonObj& o, const char* key, u64 fallback) {
-  const JsonValue* v = jfind(o, key);
-  if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::kNumber || v->num < 0.0 ||
-      std::floor(v->num) != v->num || v->num > 9.007199254740992e15) {
-    bad_job(std::string("job key '") + key +
-            "': expected a non-negative integer");
-  }
-  return static_cast<u64>(v->num);
-}
+// Shared by "sim" and "trace_replay".
+const JobKey kRunKeys[] = {
+    {"config", [](Job& j) -> auto& { return j.sim.config; }, Check::kConfig},
+    {"policy", [](Job& j) -> auto& { return j.sim.policy; }, Check::kPolicy},
+    {"refs", [](Job& j) -> auto& { return j.sim.refs; }},
+    {"warmup", [](Job& j) -> auto& { return j.sim.warmup; }},
+    {"chip_seed", [](Job& j) -> auto& { return j.sim.chip_seed; }},
+    {"levels", [](Job& j) -> auto& { return j.sim.levels; }},
+    {"csv", [](Job& j) -> auto& { return j.sim.csv; }},
+};
 
-double jreal(const JsonObj& o, const char* key, double fallback) {
-  const JsonValue* v = jfind(o, key);
-  if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::kNumber) {
-    bad_job(std::string("job key '") + key + "': expected a number");
-  }
-  return v->num;
-}
+const JobKey kSimKeys[] = {
+    {"workload", [](Job& j) -> auto& { return j.sim.workload; }},
+    {"trace_seed", [](Job& j) -> auto& { return j.sim.trace_seed; }},
+};
 
-bool jbool(const JsonObj& o, const char* key, bool fallback) {
-  const JsonValue* v = jfind(o, key);
-  if (v == nullptr) return fallback;
-  if (v->kind != JsonValue::Kind::kBool) {
-    bad_job(std::string("job key '") + key + "': expected true or false");
-  }
-  return v->b;
-}
+// No trace_seed: the recorded file fully determines the event stream.
+const JobKey kReplayKeys[] = {
+    {"file", [](Job& j) -> auto& { return j.sim.workload; }, Check::kRequired},
+};
 
-void reject_unknown_keys(const JsonObj& o, const std::string& kind) {
-  for (const auto& [key, value] : o.values) {
-    if (o.consumed.count(key) == 0) {
-      bad_job("unknown job key '" + key + "' for kind '" + kind + "'");
-    }
-  }
-}
+// Shared by "population" and "population_grid".
+const JobKey kFleetKeys[] = {
+    {"chips", [](Job& j) -> auto& { return fleet(j).num_chips; }},
+    {"seed", [](Job& j) -> auto& { return fleet(j).seed; }},
+    {"shard_chips",
+     [](Job& j) -> auto& { return fleet(j).chips_per_shard; }},
+    {"grid_lo", [](Job& j) -> auto& { return fleet(j).grid_lo; }},
+    {"grid_hi", [](Job& j) -> auto& { return fleet(j).grid_hi; }},
+    {"grid_step", [](Job& j) -> auto& { return fleet(j).grid_step; }},
+    {"min_capacity",
+     [](Job& j) -> auto& { return fleet(j).spcs_min_capacity; }},
+    {"checkpoint",
+     [](Job& j) -> auto& { return checkpointing(j).checkpoint; }},
+    {"checkpoint_shards",
+     [](Job& j) -> auto& { return checkpointing(j).checkpoint_shards; }},
+    {"resume", [](Job& j) -> auto& { return checkpointing(j).resume; }},
+};
 
-}  // namespace
+const JobKey kPopulationKeys[] = {
+    {"size_kb",
+     [](Job& j) -> auto& { return j.population.spec.org.size_bytes; },
+     Check::kKilobytes},
+    {"assoc", [](Job& j) -> auto& { return j.population.spec.org.assoc; },
+     Check::kAssoc},
+    {"sigma", [](Job& j) -> auto& { return j.population.sigma; },
+     Check::kSigma},
+};
 
-/// Job kinds, in Job::Kind enumerator order (SCHEMA002 diffs this table
-/// against the documented schema).
-constexpr const char* kJobKinds[] = {"sim", "population", "population_grid",
-                                     "trace_replay"};
-static_assert(sizeof(kJobKinds) / sizeof(kJobKinds[0]) == 4);
+const JobKey kGridKeys[] = {
+    {"sizes_kb",
+     [](Job& j) -> auto& { return j.population_grid.spec.sizes_kb; }},
+    {"assocs", [](Job& j) -> auto& { return j.population_grid.spec.assocs; }},
+    {"sigmas", [](Job& j) -> auto& { return j.population_grid.spec.sigmas; }},
+};
 
-namespace {
+/// Each kind's keys, in Job::Kind enumerator order.
+struct KindKeys {
+  const char* name;
+  std::array<std::span<const JobKey>, 3> tables;
+};
+const KindKeys kKinds[] = {
+    {"sim", {kJobKeys, kRunKeys, kSimKeys}},
+    {"population", {kJobKeys, kFleetKeys, kPopulationKeys}},
+    {"population_grid", {kJobKeys, kFleetKeys, kGridKeys}},
+    {"trace_replay", {kJobKeys, kRunKeys, kReplayKeys}},
+};
+static_assert(std::size(kKinds) == 4);
 
 const char* kind_name(Job::Kind kind) noexcept {
-  return kJobKinds[static_cast<std::size_t>(kind)];
+  return kKinds[static_cast<std::size_t>(kind)].name;
+}
+
+const JobKey* find_key(Job::Kind kind, std::string_view name) {
+  for (const auto& table : kKinds[static_cast<std::size_t>(kind)].tables) {
+    for (const JobKey& key : table) {
+      if (name == key.name) return &key;
+    }
+  }
+  return nullptr;
+}
+
+// ---- Value conversion ------------------------------------------------------
+// A JSON value must have the key's type; a CLI token is text typed by the
+// key it is assigned to, read with the strict util/parse.hpp parsers.
+
+const std::string& text(const JsonValue& v, const std::string& what) {
+  if (v.kind == JsonValue::Kind::kNumber || v.kind == JsonValue::Kind::kBool) {
+    bad_job(what + ": expected a string");
+  }
+  return v.str;
+}
+
+u64 integer(const JsonValue& v, const std::string& what) {
+  if (v.kind == JsonValue::Kind::kToken) return parse_u64_token(v.str, what);
+  if (v.kind != JsonValue::Kind::kNumber || v.num < 0.0 ||
+      std::floor(v.num) != v.num || v.num > 9.007199254740992e15) {
+    bad_job(what + ": expected a non-negative integer");
+  }
+  return static_cast<u64>(v.num);
+}
+
+double real(const JsonValue& v, const std::string& what) {
+  if (v.kind == JsonValue::Kind::kToken) return parse_real_token(v.str, what);
+  if (v.kind != JsonValue::Kind::kNumber) bad_job(what + ": expected a number");
+  return v.num;
+}
+
+bool boolean(const JsonValue& v, const std::string& what) {
+  if (v.kind == JsonValue::Kind::kBool) return v.b;
+  if (v.kind != JsonValue::Kind::kToken ||
+      (v.str != "true" && v.str != "false")) {
+    bad_job(what + ": expected true or false");
+  }
+  return v.str == "true";
+}
+
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+void assign_key(Job& job, const JobKey& key, const JsonValue& v,
+                const std::string& what) {
+  const Check check = key.check;
+  std::visit(
+      Overloaded{
+          [&](Field<std::string> f) {
+            const std::string& s = text(v, what);
+            if (check == Check::kConfig && s != "A" && s != "B") {
+              bad_job(what + ": must be \"A\" or \"B\"");
+            }
+            if (check == Check::kPolicy && s != "baseline" && s != "spcs" &&
+                s != "dpcs" && s != "all") {
+              bad_job(what + ": must be baseline, spcs, dpcs, or all");
+            }
+            if (check == Check::kRequired && s.empty()) {
+              bad_job(what + " is required for kind '" + kind_name(job.kind) +
+                      "'");
+            }
+            f(job) = s;
+          },
+          [&](Field<u64> f) {
+            const u64 x = integer(v, what);
+            f(job) = check == Check::kKilobytes ? kb_to_bytes(x, what) : x;
+          },
+          [&](Field<u32> f) {
+            const u64 x = integer(v, what);
+            f(job) = check == Check::kAssoc ? checked_assoc(x, what)
+                                            : checked_u32(x, what);
+          },
+          [&](Field<double> f) {
+            const double x = real(v, what);
+            if (check == Check::kSigma && x < 0.0) {
+              bad_job(what + ": must be positive (or 0 for the soi45 default)");
+            }
+            f(job) = x;
+          },
+          [&](Field<bool> f) { f(job) = boolean(v, what); },
+          [&](Field<std::vector<u64>> f) {
+            f(job) = parse_u64_list(text(v, what), what);
+          },
+          [&](Field<std::vector<u32>> f) {
+            std::vector<u32> ways;
+            for (const u64 a : parse_u64_list(text(v, what), what)) {
+              ways.push_back(checked_assoc(a, what));
+            }
+            f(job) = std::move(ways);
+          },
+          [&](Field<std::vector<double>> f) {
+            // "" keeps the axis empty: the soi45 calibration sigma.
+            const std::string& s = text(v, what);
+            f(job) = s.empty() ? std::vector<double>{}
+                               : parse_real_list(s, what);
+          },
+      },
+      key.field);
 }
 
 std::string_view trim(std::string_view s) {
@@ -255,200 +403,96 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-// Axis keys hold comma-separated lists inside a JSON string (the job lines
-// stay flat); empty items and trailing commas are rejected.
-std::vector<std::string> split_list(const std::string& s,
-                                    const std::string& what) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = s.find(',', start);
-    const std::string item(trim(std::string_view(s).substr(
-        start, comma == std::string::npos ? std::string::npos
-                                          : comma - start)));
-    if (item.empty()) {
-      bad_job(what + ": empty item in list '" + s + "'");
-    }
-    items.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return items;
-}
-
 }  // namespace
-
-u64 parse_u64_token(const std::string& text, const std::string& what) {
-  // strtoull alone would skip whitespace, accept a sign (and wrap "-1" to
-  // 2^64-1) and stop at the first non-digit; demand digits only.
-  if (text.empty() ||
-      !std::all_of(text.begin(), text.end(), [](char c) {
-        return std::isdigit(static_cast<unsigned char>(c)) != 0;
-      })) {
-    bad_job(what + ": malformed integer '" + text + "'");
-  }
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
-  if (errno == ERANGE) {
-    bad_job(what + ": integer '" + text + "' out of range");
-  }
-  return static_cast<u64>(v);
-}
-
-double parse_real_token(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() ||
-      std::isspace(static_cast<unsigned char>(text.front())) != 0 ||
-      end != text.c_str() + text.size() || !std::isfinite(v)) {
-    bad_job(what + ": malformed number '" + text + "'");
-  }
-  return v;
-}
-
-std::vector<u64> parse_u64_list(const std::string& text,
-                                const std::string& what) {
-  std::vector<u64> out;
-  for (const std::string& item : split_list(text, what)) {
-    out.push_back(parse_u64_token(item, what));
-  }
-  return out;
-}
-
-std::vector<double> parse_real_list(const std::string& text,
-                                    const std::string& what) {
-  std::vector<double> out;
-  for (const std::string& item : split_list(text, what)) {
-    out.push_back(parse_real_token(item, what));
-  }
-  return out;
-}
-
-u32 checked_assoc(u64 ways, const std::string& what) {
-  if (ways == 0 || ways > 0xffffffffULL) {
-    bad_job(what + ": associativity " + std::to_string(ways) +
-            " out of range");
-  }
-  return static_cast<u32>(ways);
-}
 
 Job parse_job_line(const std::string& line) {
   const JsonObj o = parse_flat_json(line);
-  const std::string kind = jstr(o, "kind", "sim");
+  std::string kind = "sim";
+  if (const auto it = o.find("kind"); it != o.end()) {
+    kind = text(it->second, "job key 'kind'");
+  }
+  const auto k =
+      std::find_if(std::begin(kKinds), std::end(kKinds),
+                   [&](const KindKeys& e) { return kind == e.name; });
+  if (k == std::end(kKinds)) {
+    std::string known;
+    for (const KindKeys& e : kKinds) {
+      known += (known.empty() ? "" : ", ") + std::string(e.name);
+    }
+    bad_job("unknown job kind '" + kind + "' (known: " + known + ")");
+  }
   Job job;
-  if (kind == kind_name(Job::Kind::kSim)) {
-    job.kind = Job::Kind::kSim;
-    SimJobSpec& s = job.sim;
-    s.id = jstr(o, "id", "");
-    s.config = jstr(o, "config", s.config);
-    if (s.config != "A" && s.config != "B") {
-      bad_job("job key 'config': must be \"A\" or \"B\"");
-    }
-    s.policy = jstr(o, "policy", s.policy);
-    if (s.policy != "baseline" && s.policy != "spcs" && s.policy != "dpcs" &&
-        s.policy != "all") {
-      bad_job("job key 'policy': must be baseline, spcs, dpcs, or all");
-    }
-    s.workload = jstr(o, "workload", s.workload);
-    s.refs = jnum(o, "refs", s.refs);
-    s.warmup = jnum(o, "warmup", s.warmup);
-    s.chip_seed = jnum(o, "chip_seed", s.chip_seed);
-    s.trace_seed = jnum(o, "trace_seed", s.trace_seed);
-    s.levels = static_cast<u32>(jnum(o, "levels", s.levels));
-    s.csv = jbool(o, "csv", s.csv);
-    s.out = jstr(o, "out", "");
-    s.trace_path = jstr(o, "trace", "");
-  } else if (kind == kind_name(Job::Kind::kPopulation)) {
-    job.kind = Job::Kind::kPopulation;
-    PopulationJobSpec& p = job.population;
-    p.id = jstr(o, "id", "");
-    p.spec.num_chips = jnum(o, "chips", p.spec.num_chips);
-    p.spec.org.size_bytes = jnum(o, "size_kb", 64) * 1024;
-    p.spec.org.assoc =
-        checked_assoc(jnum(o, "assoc", p.spec.org.assoc), "job key 'assoc'");
-    p.spec.seed = jnum(o, "seed", p.spec.seed);
-    p.spec.chips_per_shard =
-        jnum(o, "shard_chips", p.spec.chips_per_shard);
-    p.spec.grid_lo = jreal(o, "grid_lo", p.spec.grid_lo);
-    p.spec.grid_hi = jreal(o, "grid_hi", p.spec.grid_hi);
-    p.spec.grid_step = jreal(o, "grid_step", p.spec.grid_step);
-    p.spec.spcs_min_capacity =
-        jreal(o, "min_capacity", p.spec.spcs_min_capacity);
-    p.sigma = jreal(o, "sigma", p.sigma);
-    if (p.sigma < 0.0) {
-      bad_job("job key 'sigma': must be positive (or 0 for the soi45 "
-              "default)");
-    }
-    p.out = jstr(o, "out", "");
-    p.trace_path = jstr(o, "trace", "");
-    p.checkpoint = jstr(o, "checkpoint", "");
-    p.checkpoint_shards = jnum(o, "checkpoint_shards", p.checkpoint_shards);
-    p.resume = jbool(o, "resume", p.resume);
-  } else if (kind == kind_name(Job::Kind::kPopulationGrid)) {
-    job.kind = Job::Kind::kPopulationGrid;
-    PopulationGridJobSpec& g = job.population_grid;
-    g.id = jstr(o, "id", "");
-    PopulationSpec& b = g.spec.base;
-    b.num_chips = jnum(o, "chips", b.num_chips);
-    b.seed = jnum(o, "seed", b.seed);
-    b.chips_per_shard = jnum(o, "shard_chips", b.chips_per_shard);
-    b.grid_lo = jreal(o, "grid_lo", b.grid_lo);
-    b.grid_hi = jreal(o, "grid_hi", b.grid_hi);
-    b.grid_step = jreal(o, "grid_step", b.grid_step);
-    b.spcs_min_capacity = jreal(o, "min_capacity", b.spcs_min_capacity);
-    g.spec.sizes_kb =
-        parse_u64_list(jstr(o, "sizes_kb", "64"), "job key 'sizes_kb'");
-    g.spec.assocs.clear();
-    for (const u64 a :
-         parse_u64_list(jstr(o, "assocs", "4"), "job key 'assocs'")) {
-      g.spec.assocs.push_back(checked_assoc(a, "job key 'assocs'"));
-    }
-    {
-      const std::string sigmas = jstr(o, "sigmas", "");
-      if (!sigmas.empty()) {
-        g.spec.sigmas = parse_real_list(sigmas, "job key 'sigmas'");
+  job.kind = static_cast<Job::Kind>(k - std::begin(kKinds));
+  job.sim.replay = job.kind == Job::Kind::kTraceReplay;
+  for (const auto& table : k->tables) {
+    for (const JobKey& key : table) {
+      const std::string what = std::string("job key '") + key.name + "'";
+      if (const auto it = o.find(key.name); it != o.end()) {
+        assign_key(job, key, it->second, what);
+      } else if (key.check == Check::kRequired) {
+        bad_job(what + " is required for kind '" + kind + "'");
       }
     }
-    g.out = jstr(o, "out", "");
-    g.trace_path = jstr(o, "trace", "");
-    g.checkpoint = jstr(o, "checkpoint", "");
-    g.checkpoint_shards = jnum(o, "checkpoint_shards", g.checkpoint_shards);
-    g.resume = jbool(o, "resume", g.resume);
-    g.spec.validate();
-  } else if (kind == kind_name(Job::Kind::kTraceReplay)) {
-    job.kind = Job::Kind::kTraceReplay;
-    TraceReplayJobSpec& t = job.trace_replay;
-    t.id = jstr(o, "id", "");
-    t.file = jstr(o, "file", "");
-    if (t.file.empty()) {
-      bad_job("job key 'file' is required for kind 'trace_replay'");
-    }
-    t.config = jstr(o, "config", t.config);
-    if (t.config != "A" && t.config != "B") {
-      bad_job("job key 'config': must be \"A\" or \"B\"");
-    }
-    t.policy = jstr(o, "policy", t.policy);
-    if (t.policy != "baseline" && t.policy != "spcs" && t.policy != "dpcs" &&
-        t.policy != "all") {
-      bad_job("job key 'policy': must be baseline, spcs, dpcs, or all");
-    }
-    t.refs = jnum(o, "refs", t.refs);
-    t.warmup = jnum(o, "warmup", t.warmup);
-    t.chip_seed = jnum(o, "chip_seed", t.chip_seed);
-    t.levels = static_cast<u32>(jnum(o, "levels", t.levels));
-    t.csv = jbool(o, "csv", t.csv);
-    t.out = jstr(o, "out", "");
-    t.trace_path = jstr(o, "trace", "");
-  } else {
-    bad_job("unknown job kind '" + kind +
-            "' (known: sim, population, population_grid, trace_replay)");
   }
-  reject_unknown_keys(o, kind);
+  for (const auto& [key, value] : o) {
+    if (key != "kind" && find_key(job.kind, key) == nullptr) {
+      bad_job("unknown job key '" + key + "' for kind '" + kind + "'");
+    }
+  }
+  if (job.kind == Job::Kind::kPopulationGrid) {
+    job.population_grid.spec.validate();
+  }
   return job;
+}
+
+void set_job_key(Job& job, const std::string& key, const std::string& token,
+                 const std::string& what) {
+  const JobKey* entry = find_key(job.kind, key);
+  if (entry == nullptr) {
+    bad_job(what + ": unknown job key '" + key + "' for kind '" +
+            kind_name(job.kind) + "'");
+  }
+  JsonValue v;
+  v.kind = JsonValue::Kind::kToken;
+  v.str = token;
+  assign_key(job, *entry, v, what);
+}
+
+bool take_job_flag(Job& job, std::span<const JobFlag> flags, int argc,
+                   char** argv, int& i) {
+  const std::string arg = argv[i];
+  for (const JobFlag& flag : flags) {
+    if (arg != flag.arg) continue;
+    const JobKey* key = find_key(job.kind, flag.key);
+    if (key != nullptr && std::holds_alternative<Field<bool>>(key->field)) {
+      set_job_key(job, flag.key, "true", arg);
+    } else if (i + 1 < argc) {
+      set_job_key(job, flag.key, argv[++i], arg);
+    } else {
+      bad_job(arg + ": missing value");
+    }
+    return true;
+  }
+  return false;
+}
+
+std::vector<std::pair<std::string, std::vector<std::string>>> job_schema() {
+  std::vector<std::pair<std::string, std::vector<std::string>>> schema;
+  for (const KindKeys& kind : kKinds) {
+    std::vector<std::string> keys = {"kind"};
+    for (const auto& table : kind.tables) {
+      for (const JobKey& key : table) keys.emplace_back(key.name);
+    }
+    schema.emplace_back(kind.name, std::move(keys));
+  }
+  return schema;
 }
 
 void run_sim_job(const SimJobSpec& o, std::ostream& out, u32 num_threads,
                  TraceSink* trace) {
+  if (o.config != "A" && o.config != "B") {
+    throw std::invalid_argument("unknown config '" + o.config + "'");
+  }
   SystemConfig cfg =
       o.config == "B" ? SystemConfig::config_b() : SystemConfig::config_a();
   cfg.num_vdd_levels = o.levels;
@@ -486,7 +530,8 @@ void run_sim_job(const SimJobSpec& o, std::ostream& out, u32 num_threads,
   const std::vector<SimReport> reports = parallel_index_map(
       num_threads == 0 ? pcs_thread_count() : num_threads, kinds.size(),
       [&](u64 i) {
-        auto src = make_workload_source(o.workload, o.trace_seed);
+        auto src = o.replay ? open_trace_file(o.workload)
+                            : make_workload_source(o.workload, o.trace_seed);
         PcsSystem sys = die ? PcsSystem(cfg, kinds[i], *die)
                             : PcsSystem(cfg, kinds[i], o.chip_seed);
         if (tracing) sys.set_trace(&task_traces[i]);
@@ -594,25 +639,6 @@ PopulationGridResult run_population_grid_job(
   return result;
 }
 
-void run_trace_replay_job(const TraceReplayJobSpec& j, std::ostream& out,
-                          u32 num_threads, TraceSink* trace) {
-  // Exactly a sim job whose workload is the file; the trace_seed is
-  // irrelevant because file workloads ignore it (the recorded stream IS the
-  // workload), so any value keeps the output byte-identical to pcs_sim.
-  SimJobSpec s;
-  s.id = j.id;
-  s.config = j.config;
-  s.policy = j.policy;
-  s.workload = j.file;
-  s.refs = j.refs;
-  s.warmup = j.warmup;
-  s.chip_seed = j.chip_seed;
-  s.trace_seed = 0;
-  s.levels = j.levels;
-  s.csv = j.csv;
-  run_sim_job(s, out, num_threads, trace);
-}
-
 namespace {
 
 /// Runs one job to completion: renders into a memory buffer first so a
@@ -621,34 +647,29 @@ namespace {
 /// timing is allowed to appear).
 JobOutcome execute_job(const Job& job) {
   JobOutcome oc;
-  oc.id = job.id();
+  oc.id = job.id;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     std::unique_ptr<TraceSink> sink;
-    if (!job.trace_path().empty()) {
-      sink = make_trace_sink(job.trace_path());
+    if (!job.trace.empty()) {
+      sink = make_trace_sink(job.trace);
       emit_trace_header(*sink);
     }
     std::ostringstream body;
-    if (job.kind == Job::Kind::kSim) {
-      run_sim_job(job.sim, body, 1, sink.get());
-    } else if (job.kind == Job::Kind::kPopulation) {
+    if (job.kind == Job::Kind::kPopulation) {
       run_population_job(job.population, body, 1, sink.get());
     } else if (job.kind == Job::Kind::kPopulationGrid) {
       run_population_grid_job(job.population_grid, body, 1, sink.get());
     } else {
-      run_trace_replay_job(job.trace_replay, body, 1, sink.get());
+      run_sim_job(job.sim, body, 1, sink.get());
     }
-    std::ofstream f(job.out_path(), std::ios::binary | std::ios::trunc);
+    std::ofstream f(job.out, std::ios::binary | std::ios::trunc);
     if (!f) {
-      throw std::runtime_error("cannot open output file '" + job.out_path() +
-                               "'");
+      throw std::runtime_error("cannot open output file '" + job.out + "'");
     }
     f << body.str();
     f.flush();
-    if (!f) {
-      throw std::runtime_error("write failed for '" + job.out_path() + "'");
-    }
+    if (!f) throw std::runtime_error("write failed for '" + job.out + "'");
     oc.wall_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
@@ -714,18 +735,9 @@ std::vector<JobOutcome> JobService::serve(std::istream& in,
     }
     std::string id;
     if (accepted) {
-      id = job.id().empty() ? "job" + std::to_string(slots.size() + 1)
-                            : job.id();
-      if (job.kind == Job::Kind::kSim) {
-        job.sim.id = id;
-      } else if (job.kind == Job::Kind::kPopulation) {
-        job.population.id = id;
-      } else if (job.kind == Job::Kind::kPopulationGrid) {
-        job.population_grid.id = id;
-      } else {
-        job.trace_replay.id = id;
-      }
-      if (job.out_path().empty()) {
+      if (job.id.empty()) job.id = "job" + std::to_string(slots.size() + 1);
+      id = job.id;
+      if (job.out.empty()) {
         accepted = false;
         err = "job key 'out' is required in serve mode";
       }
@@ -737,10 +749,9 @@ std::vector<JobOutcome> JobService::serve(std::istream& in,
         accepted = false;
         err = "duplicate job id '" + id + "' (first submitted at line " +
               std::to_string(first) + ")";
-      } else if (const u64 out_first =
-                     claim(seen_outs, job.out_path(), lineno)) {
+      } else if (const u64 out_first = claim(seen_outs, job.out, lineno)) {
         accepted = false;
-        err = "output path '" + job.out_path() +
+        err = "output path '" + job.out +
               "' already claimed by the job at line " +
               std::to_string(out_first);
       } else if (!job.checkpoint_path().empty()) {
@@ -763,7 +774,7 @@ std::vector<JobOutcome> JobService::serve(std::istream& in,
       slot.outcome.error = err;
     } else {
       log << "job " << id << ": accepted (" << kind_name(job.kind) << " -> "
-          << job.out_path() << ")\n";
+          << job.out << ")\n";
       if (pool) {
         slot.fut = pool->submit([job] { return execute_job(job); });
       } else {

@@ -20,49 +20,48 @@
 //     telemetry trace as a trailing `job_profile` record (TELEMETRY.md).
 //
 // The job-file schema (kinds, keys, defaults) is documented in
-// POPULATION.md and enforced both at runtime (unknown keys/kinds are
-// rejected) and statically by pcs-lint SCHEMA002, which diffs the jstr/
-// jnum/jreal/jbool accessor calls and the kJobKinds table in this
-// subsystem against POPULATION.md's ```job-schema block.
+// POPULATION.md. Each key is one entry of a static key table in
+// job_service.cpp (name, value type, check, target member; defaults are the
+// spec structs' member initialisers). parse_job_line reads JSON values
+// through the tables, set_job_key reads the CLIs' text tokens through them,
+// and job_schema() lists them for the unit test that diffs POPULATION.md's
+// ```job-schema block against the parser.
 #pragma once
 
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/population_grid.hpp"
 #include "telemetry/trace_sink.hpp"
+#include "util/parse.hpp"
 #include "util/types.hpp"
 
 namespace pcs {
 
-/// One simulator run, mirroring pcs_sim's CLI options (kind "sim").
+/// One simulator run, mirroring pcs_sim's CLI options (kinds "sim" and
+/// "trace_replay").
 struct SimJobSpec {
-  std::string id;
   std::string config = "A";      ///< A | B
   std::string policy = "all";    ///< baseline | spcs | dpcs | all
   std::string workload = "hmmer";  ///< profile name or recorded-trace path
+  /// `workload` is a recorded trace file, never a profile name (kind
+  /// "trace_replay", whose `file` key names it).
+  bool replay = false;
   u64 refs = 1'000'000;
   u64 warmup = 0;  ///< 0 = refs/4
   u64 chip_seed = 1;
   u64 trace_seed = 42;
   u32 levels = 3;
   bool csv = false;
-  std::string out;         ///< output file ("" = caller-provided stream)
-  std::string trace_path;  ///< per-job telemetry trace ("" = none)
 };
 
-/// One population/binning run (kind "population"): a single design, run as
-/// a singleton grid (population_job_grid).
-struct PopulationJobSpec {
-  std::string id;
-  PopulationSpec spec;
-  /// Fail-voltage sigma; 0 = the soi45 calibration default.
-  Volt sigma = 0.0;
-  std::string out;
-  std::string trace_path;
+/// The checkpoint keys of the population and population_grid kinds.
+struct CheckpointJobSpec {
   /// Shard-range checkpoint sidecar ("" = no checkpointing); see
   /// CheckpointOptions.
   std::string checkpoint;
@@ -70,71 +69,31 @@ struct PopulationJobSpec {
   bool resume = false;
 };
 
+/// One population/binning run (kind "population"): a single design, run as
+/// a singleton grid (population_job_grid).
+struct PopulationJobSpec : CheckpointJobSpec {
+  PopulationSpec spec;
+  /// Fail-voltage sigma; 0 = the soi45 calibration default.
+  Volt sigma = 0.0;
+};
+
 /// One grid run (kind "population_grid"), see population_grid.
-struct PopulationGridJobSpec {
-  std::string id;
+struct PopulationGridJobSpec : CheckpointJobSpec {
   PopulationGridSpec spec;
-  std::string out;
-  std::string trace_path;
-  std::string checkpoint;  ///< see PopulationJobSpec::checkpoint
-  u64 checkpoint_shards = 16;
-  bool resume = false;
 };
 
-/// One recorded-trace replay run (kind "trace_replay"): a simulator run
-/// whose workload is a recorded trace file, text or memory-mapped .pcst
-/// (TRACES.md). `file` is required; there is no trace_seed key because the
-/// event stream is fully determined by the file.
-struct TraceReplayJobSpec {
-  std::string id;
-  std::string file;          ///< recorded trace path (text or .pcst)
-  std::string config = "A";  ///< A | B
-  std::string policy = "all";  ///< baseline | spcs | dpcs | all
-  u64 refs = 1'000'000;
-  u64 warmup = 0;  ///< 0 = refs/4
-  u64 chip_seed = 1;
-  u32 levels = 3;
-  bool csv = false;
-  std::string out;
-  std::string trace_path;
-};
-
-/// A parsed job line: exactly one of the kinds is active.
+/// A parsed job line. `kind` selects the active spec: `sim` serves both
+/// "sim" and "trace_replay" (a sim run whose workload is a recorded file).
 struct Job {
   enum class Kind { kSim, kPopulation, kPopulationGrid, kTraceReplay };
   Kind kind = Kind::kSim;
+  std::string id;     ///< "" = job<N>, assigned at submission
+  std::string out;    ///< output file ("" = caller-provided stream)
+  std::string trace;  ///< per-job telemetry trace ("" = none)
   SimJobSpec sim;
   PopulationJobSpec population;
   PopulationGridJobSpec population_grid;
-  TraceReplayJobSpec trace_replay;
 
-  const std::string& id() const noexcept {
-    switch (kind) {
-      case Kind::kSim: return sim.id;
-      case Kind::kPopulation: return population.id;
-      case Kind::kPopulationGrid: return population_grid.id;
-      case Kind::kTraceReplay: break;
-    }
-    return trace_replay.id;
-  }
-  const std::string& out_path() const noexcept {
-    switch (kind) {
-      case Kind::kSim: return sim.out;
-      case Kind::kPopulation: return population.out;
-      case Kind::kPopulationGrid: return population_grid.out;
-      case Kind::kTraceReplay: break;
-    }
-    return trace_replay.out;
-  }
-  const std::string& trace_path() const noexcept {
-    switch (kind) {
-      case Kind::kSim: return sim.trace_path;
-      case Kind::kPopulation: return population.trace_path;
-      case Kind::kPopulationGrid: return population_grid.trace_path;
-      case Kind::kTraceReplay: break;
-    }
-    return trace_replay.trace_path;
-  }
   const std::string& checkpoint_path() const noexcept {
     static const std::string kNone;
     if (kind == Kind::kPopulation) return population.checkpoint;
@@ -150,32 +109,37 @@ struct Job {
 /// schema table.
 Job parse_job_line(const std::string& line);
 
-// Numeric text shared by the job schema's list keys and the population
-// CLIs' arguments. Each parser takes a whole token or rejects it: no sign
-// on integers, no surrounding whitespace, no trailing characters, no
-// overflow, no inf/nan. Failures throw std::invalid_argument whose message
-// starts with `what` (a job key or a CLI argument name) and quotes the
-// offending item.
-u64 parse_u64_token(const std::string& text, const std::string& what);
-double parse_real_token(const std::string& text, const std::string& what);
+/// Sets `key` of `job` (for its current kind) from a CLI text token,
+/// through the same key table entry parse_job_line uses: numbers must be
+/// whole tokens (util/parse.hpp), bools are "true" or "false", lists are
+/// comma-separated. Throws std::invalid_argument whose message starts with
+/// `what` (the flag or positional name).
+void set_job_key(Job& job, const std::string& key, const std::string& token,
+                 const std::string& what);
 
-/// Comma-separated lists of the tokens above ("32,64"); items may carry
-/// surrounding spaces, empty items and trailing commas are rejected.
-std::vector<u64> parse_u64_list(const std::string& text,
-                                const std::string& what);
-std::vector<double> parse_real_list(const std::string& text,
-                                    const std::string& what);
+/// A CLI flag or positional name and the job key it sets.
+struct JobFlag {
+  const char* arg;
+  const char* key;
+};
 
-/// Narrows an associativity to u32, rejecting 0 and anything above
-/// 2^32 - 1 (std::invalid_argument naming `what`).
-u32 checked_assoc(u64 ways, const std::string& what);
+/// If argv[i] is one of `flags`, sets its key and returns true: a bool key
+/// is a bare switch ("--csv"), any other key takes the next argument
+/// (advancing `i`). Returns false for any other argument. Throws
+/// std::invalid_argument for a missing or bad value.
+bool take_job_flag(Job& job, std::span<const JobFlag> flags, int argc,
+                   char** argv, int& i);
+
+/// The job schema as the key tables define it: every kind, in Job::Kind
+/// order, with every key it accepts ("kind" first).
+std::vector<std::pair<std::string, std::vector<std::string>>> job_schema();
 
 /// Runs one simulator job and renders the report to `out` -- byte-identical
 /// to `pcs_sim` with the equivalent flags (this IS pcs_sim's run path).
 /// `num_threads` fans the independent policy runs; results are identical at
 /// any value. When `trace` is non-null, buffered per-policy telemetry is
 /// replayed into it in policy order (the caller emits the header).
-/// Throws std::invalid_argument for an unknown policy.
+/// Throws std::invalid_argument for an unknown config or policy.
 void run_sim_job(const SimJobSpec& spec, std::ostream& out, u32 num_threads,
                  TraceSink* trace = nullptr);
 
@@ -204,13 +168,6 @@ PopulationResult run_population_job(const PopulationJobSpec& spec,
 PopulationGridResult run_population_grid_job(
     const PopulationGridJobSpec& spec, std::ostream& out, u32 num_threads,
     TraceSink* trace = nullptr, const CheckpointHook& on_checkpoint = {});
-
-/// Runs one trace-replay job: exactly a "sim" job whose workload is the
-/// recorded file, so the output is byte-identical to
-/// `pcs_sim --workload FILE` with the equivalent flags (and, when FILE is a
-/// converted .pcst, to replaying the text original -- TRACES.md).
-void run_trace_replay_job(const TraceReplayJobSpec& spec, std::ostream& out,
-                          u32 num_threads, TraceSink* trace = nullptr);
 
 /// What happened to one submitted job (in submission order).
 struct JobOutcome {

@@ -8,6 +8,7 @@
 
 #include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/vecmath.hpp"
@@ -51,7 +52,7 @@ std::vector<Volt> PopulationGridSpec::sigma_axis(Volt fallback_sigma) const {
 
 CacheOrg PopulationGridSpec::org_for(u64 size_kb, u32 assoc) const {
   CacheOrg org = base.org;
-  org.size_bytes = size_kb * 1024;
+  org.size_bytes = kb_to_bytes(size_kb, "population grid sizes_kb");
   org.assoc = assoc;
   return org;
 }

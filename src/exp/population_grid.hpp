@@ -61,13 +61,14 @@ struct PopulationGridSpec {
 
   /// Throws std::invalid_argument unless every axis is non-empty and
   /// duplicate-free, sigmas are positive, and every (size, assoc) yields a
-  /// valid CacheOrg.
+  /// valid CacheOrg (see org_for).
   void validate() const;
 
   /// Points on the sigma axis: `sigmas`, or {fallback_sigma} when empty.
   std::vector<Volt> sigma_axis(Volt fallback_sigma) const;
 
-  /// The base org resized to one grid cell.
+  /// The base org resized to one grid cell. Throws std::invalid_argument
+  /// when the size's byte count overflows u64.
   CacheOrg org_for(u64 size_kb, u32 assoc) const;
 
   /// The single-design PopulationSpec of one grid point (what its report

@@ -1,13 +1,21 @@
 #include "exp/thread_pool.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+
+#include "util/parse.hpp"
 
 namespace pcs {
 
-u32 pcs_thread_count() noexcept {
+u32 pcs_thread_count() {
   if (const char* env = std::getenv("PCS_THREADS")) {
-    const unsigned long n = std::strtoul(env, nullptr, 10);
-    if (n >= 1) return static_cast<u32>(n);
+    const u64 n = parse_u64_token(env, "PCS_THREADS");
+    if (n == 0 || n > 0xffffffffULL) {
+      throw std::invalid_argument("PCS_THREADS: integer '" + std::string(env) +
+                                  "' out of range (1 to 4294967295)");
+    }
+    return static_cast<u32>(n);
   }
   const u32 hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;

@@ -25,9 +25,12 @@
 namespace pcs {
 
 /// Worker count for experiment sweeps: the PCS_THREADS environment variable
-/// if set to a positive integer, else std::thread::hardware_concurrency().
-/// PCS_THREADS=1 selects the legacy serial path (no pool, no threads).
-u32 pcs_thread_count() noexcept;
+/// if set, else std::thread::hardware_concurrency(). PCS_THREADS=1 selects
+/// the legacy serial path (no pool, no threads). A PCS_THREADS that is not
+/// a whole integer in 1 .. 2^32-1 throws std::invalid_argument naming it;
+/// front ends call this before printing anything, so a bad value is a usage
+/// error rather than a failure halfway through a report.
+u32 pcs_thread_count();
 
 class ThreadPool {
  public:

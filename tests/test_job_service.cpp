@@ -1,17 +1,24 @@
 // Job service: the runtime teeth of the POPULATION.md schema (parse
-// defaults and rejections), the per-job determinism contract (service
-// output files byte-identical to the standalone CLIs at any concurrency),
-// and the deterministic service log.
+// defaults and rejections, CLI tokens through the same key tables, and the
+// docs block matching those tables), the per-job determinism contract
+// (service output files byte-identical to the standalone CLIs at any
+// concurrency), and the deterministic service log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/job_service.hpp"
+#include "trace/encode.hpp"
+#include "trace/workload_source.hpp"
 
 namespace pcs {
 namespace {
@@ -34,7 +41,7 @@ std::string slurp(const std::string& path) {
 TEST(ParseJobLine, EmptyObjectYieldsSimDefaults) {
   const Job job = parse_job_line("{}");
   EXPECT_EQ(job.kind, Job::Kind::kSim);
-  EXPECT_EQ(job.sim.id, "");
+  EXPECT_EQ(job.id, "");
   EXPECT_EQ(job.sim.config, "A");
   EXPECT_EQ(job.sim.policy, "all");
   EXPECT_EQ(job.sim.workload, "hmmer");
@@ -44,8 +51,9 @@ TEST(ParseJobLine, EmptyObjectYieldsSimDefaults) {
   EXPECT_EQ(job.sim.trace_seed, 42u);
   EXPECT_EQ(job.sim.levels, 3u);
   EXPECT_FALSE(job.sim.csv);
-  EXPECT_EQ(job.sim.out, "");
-  EXPECT_EQ(job.sim.trace_path, "");
+  EXPECT_FALSE(job.sim.replay);
+  EXPECT_EQ(job.out, "");
+  EXPECT_EQ(job.trace, "");
 }
 
 TEST(ParseJobLine, PopulationKeysMapOntoTheSpec) {
@@ -56,7 +64,7 @@ TEST(ParseJobLine, PopulationKeysMapOntoTheSpec) {
       R"( "out": "fleet.txt", "trace": "fleet.jsonl"})");
   EXPECT_EQ(job.kind, Job::Kind::kPopulation);
   const PopulationJobSpec& p = job.population;
-  EXPECT_EQ(p.id, "fleet");
+  EXPECT_EQ(job.id, "fleet");
   EXPECT_EQ(p.spec.num_chips, 500u);
   EXPECT_EQ(p.spec.org.size_bytes, 32u * 1024u);
   EXPECT_EQ(p.spec.org.assoc, 8u);
@@ -66,8 +74,8 @@ TEST(ParseJobLine, PopulationKeysMapOntoTheSpec) {
   EXPECT_NEAR(p.spec.grid_hi, 0.9, 1e-12);
   EXPECT_NEAR(p.spec.grid_step, 0.02, 1e-12);
   EXPECT_NEAR(p.spec.spcs_min_capacity, 0.95, 1e-12);
-  EXPECT_EQ(p.out, "fleet.txt");
-  EXPECT_EQ(p.trace_path, "fleet.jsonl");
+  EXPECT_EQ(job.out, "fleet.txt");
+  EXPECT_EQ(job.trace, "fleet.jsonl");
 }
 
 TEST(ParseJobLine, PopulationSigmaAndCheckpointKeysMapOntoTheSpec) {
@@ -98,7 +106,7 @@ TEST(ParseJobLine, PopulationGridKeysMapOntoTheSpec) {
       R"( "trace": "grid.jsonl", "checkpoint": "grid.ck"})");
   EXPECT_EQ(job.kind, Job::Kind::kPopulationGrid);
   const PopulationGridJobSpec& g = job.population_grid;
-  EXPECT_EQ(g.id, "grid");
+  EXPECT_EQ(job.id, "grid");
   EXPECT_EQ(g.spec.base.num_chips, 500u);
   EXPECT_EQ(g.spec.sizes_kb, (std::vector<u64>{32, 64}));
   EXPECT_EQ(g.spec.assocs, (std::vector<u32>{2, 4, 8}));
@@ -109,8 +117,8 @@ TEST(ParseJobLine, PopulationGridKeysMapOntoTheSpec) {
   EXPECT_EQ(g.spec.base.chips_per_shard, 128u);
   EXPECT_NEAR(g.spec.base.grid_lo, 0.5, 1e-12);
   EXPECT_NEAR(g.spec.base.spcs_min_capacity, 0.95, 1e-12);
-  EXPECT_EQ(g.out, "grid.txt");
-  EXPECT_EQ(g.trace_path, "grid.jsonl");
+  EXPECT_EQ(job.out, "grid.txt");
+  EXPECT_EQ(job.trace, "grid.jsonl");
   EXPECT_EQ(g.checkpoint, "grid.ck");
   // Defaults: one 64 KB 4-way point at the calibration sigma.
   const Job plain = parse_job_line(R"({"kind": "population_grid"})");
@@ -191,10 +199,168 @@ TEST(ParseJobLine, RejectMessagesNameTheKeyAndTheItem) {
        "job key 'sigmas': malformed number 'inf'"},
       {R"({"kind": "population", "assoc": 4294967296})",
        "job key 'assoc': associativity 4294967296 out of range"},
+      // Narrowing used to wrap: levels 4294967299 ran 3 levels, and
+      // 18014398509481985 KB (2^64 + 1024 bytes) ran a 1 KB cache.
+      {R"({"levels": 4294967299})",
+       "job key 'levels': integer '4294967299' out of range"},
+      {R"({"kind": "trace_replay", "file": "t.pcst", "levels": 4294967299})",
+       "job key 'levels': integer '4294967299' out of range"},
+      {R"({"kind": "population_grid", "sizes_kb": "64,18014398509481985"})",
+       "population grid sizes_kb: size 18014398509481985 KB overflows a "
+       "64-bit byte count"},
   };
   for (const auto& c : cases) {
     EXPECT_EQ(reject_message([&] { parse_job_line(c.line); }), c.message)
         << c.line;
+  }
+}
+
+TEST(ParseJobLine, IntegerKeysAcceptAnyWholeJsonNumber) {
+  EXPECT_EQ(parse_job_line(R"({"refs": 1e6})").sim.refs, 1'000'000u);
+  EXPECT_EQ(parse_job_line(R"({"levels": 4294967295})").sim.levels,
+            4294967295u);
+  EXPECT_EQ(parse_job_line(R"({"refs": 1000000.0})").sim.refs, 1'000'000u);
+  EXPECT_EQ(
+      parse_job_line(R"({"kind": "population", "chips": 2e3})")
+          .population.spec.num_chips,
+      2'000u);
+}
+
+// The CLIs set job keys from text tokens through the same table entries.
+TEST(SetJobKey, CliTokensGoThroughTheJobKeyTables) {
+  Job sim;  // kind sim
+  set_job_key(sim, "refs", "2000", "--refs");
+  set_job_key(sim, "csv", "true", "--csv");
+  set_job_key(sim, "trace", "run.jsonl", "--trace");
+  EXPECT_EQ(sim.sim.refs, 2000u);
+  EXPECT_TRUE(sim.sim.csv);
+  EXPECT_EQ(sim.trace, "run.jsonl");
+
+  Job pop;
+  pop.kind = Job::Kind::kPopulation;
+  set_job_key(pop, "size_kb", "32", "size_kb");
+  set_job_key(pop, "chips", "7", "num_chips");
+  EXPECT_EQ(pop.population.spec.org.size_bytes, 32u * 1024u);
+  EXPECT_EQ(pop.population.spec.num_chips, 7u);
+  Job grid;
+  grid.kind = Job::Kind::kPopulationGrid;
+  set_job_key(grid, "chips", "9", "num_chips");
+  set_job_key(grid, "sizes_kb", "32, 64", "--sizes");
+  EXPECT_EQ(grid.population_grid.spec.base.num_chips, 9u);
+  EXPECT_EQ(grid.population_grid.spec.sizes_kb, (std::vector<u64>{32, 64}));
+  EXPECT_EQ(grid.population.spec.num_chips, PopulationSpec{}.num_chips);
+
+  const struct {
+    Job* job;
+    const char* key;
+    const char* token;
+    const char* what;
+    const char* message;
+  } cases[] = {
+      {&sim, "levels", "4294967299", "--levels",
+       "--levels: integer '4294967299' out of range"},
+      {&sim, "refs", "12abc", "--refs", "--refs: malformed integer '12abc'"},
+      {&sim, "config", "C", "--config", "--config: must be \"A\" or \"B\""},
+      {&sim, "policy", "fastest", "--policy",
+       "--policy: must be baseline, spcs, dpcs, or all"},
+      {&sim, "csv", "yes", "--csv", "--csv: expected true or false"},
+      {&sim, "file", "x.pcst", "--file",
+       "--file: unknown job key 'file' for kind 'sim'"},
+      {&pop, "size_kb", "18014398509481985", "size_kb",
+       "size_kb: size 18014398509481985 KB overflows a 64-bit byte count"},
+      {&pop, "assoc", "0", "assoc", "assoc: associativity 0 out of range"},
+      {&pop, "sigma", "-0.1", "sigma",
+       "sigma: must be positive (or 0 for the soi45 default)"},
+      {&grid, "assocs", "4,0", "--assocs",
+       "--assocs: associativity 0 out of range"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(reject_message([&] {
+                set_job_key(*c.job, c.key, c.token, c.what);
+              }),
+              c.message)
+        << c.key << "=" << c.token;
+  }
+}
+
+TEST(SetJobKey, TakeJobFlagReadsSwitchesAndValues) {
+  const JobFlag flags[] = {{"--refs", "refs"}, {"--csv", "csv"}};
+  const char* args[] = {"pcs_sim", "--csv", "--refs", "500", "--other"};
+  char** argv = const_cast<char**>(args);
+  Job job;
+  int i = 1;
+  EXPECT_TRUE(take_job_flag(job, flags, 5, argv, i));
+  EXPECT_EQ(i, 1);  // a bool key is a bare switch
+  EXPECT_TRUE(job.sim.csv);
+  i = 2;
+  EXPECT_TRUE(take_job_flag(job, flags, 5, argv, i));
+  EXPECT_EQ(i, 3);  // consumed the value
+  EXPECT_EQ(job.sim.refs, 500u);
+  i = 4;
+  EXPECT_FALSE(take_job_flag(job, flags, 5, argv, i));
+  i = 2;
+  EXPECT_EQ(reject_message([&] { take_job_flag(job, flags, 3, argv, i); }),
+            "--refs: missing value");
+}
+
+// POPULATION.md's ```job-schema block (one `kind: key key ...` line per
+// kind) must list exactly what the parser's key tables accept: every kind
+// and every key, both directions, with no kind or key listed twice.
+TEST(JobSchema, PopulationMdBlockMatchesTheKeyTables) {
+  std::ifstream md(PCS_POPULATION_MD);
+  ASSERT_TRUE(md.is_open()) << PCS_POPULATION_MD;
+  std::map<std::string, std::vector<std::string>> doc;
+  bool in_block = false;
+  bool saw_block = false;
+  for (std::string line; std::getline(md, line);) {
+    if (line == "```job-schema") {
+      in_block = saw_block = true;
+      continue;
+    }
+    if (in_block && line.rfind("```", 0) == 0) in_block = false;
+    if (!in_block) continue;
+    const std::size_t colon = line.find(':');
+    ASSERT_NE(colon, std::string::npos) << "not `kind: keys`: " << line;
+    const std::string kind = line.substr(0, colon);
+    EXPECT_EQ(doc.count(kind), 0u) << "kind '" << kind << "' documented twice";
+    std::vector<std::string>& keys = doc[kind];
+    std::istringstream words(line.substr(colon + 1));
+    for (std::string key; words >> key;) {
+      EXPECT_EQ(std::count(keys.begin(), keys.end(), key), 0)
+          << "key '" << key << "' listed twice for kind '" << kind << "'";
+      keys.push_back(key);
+    }
+  }
+  ASSERT_TRUE(saw_block) << "no ```job-schema block in POPULATION.md";
+
+  std::set<std::string> parsed_kinds;
+  for (const auto& [kind, keys] : job_schema()) {
+    EXPECT_TRUE(parsed_kinds.insert(kind).second)
+        << "kind '" << kind << "' has two key tables";
+    const std::set<std::string> table(keys.begin(), keys.end());
+    EXPECT_EQ(table.size(), keys.size())
+        << "a key of kind '" << kind << "' has two table entries";
+    const auto it = doc.find(kind);
+    if (it == doc.end()) {
+      ADD_FAILURE() << "kind '" << kind << "' is parsed but not documented";
+      continue;
+    }
+    const std::set<std::string> documented(it->second.begin(),
+                                           it->second.end());
+    for (const std::string& key : table) {
+      EXPECT_EQ(documented.count(key), 1u)
+          << "key '" << key << "' of kind '" << kind
+          << "' is parsed but not documented";
+    }
+    for (const std::string& key : documented) {
+      EXPECT_EQ(table.count(key), 1u)
+          << "key '" << key << "' of kind '" << kind
+          << "' is documented but not parsed";
+    }
+  }
+  for (const auto& [kind, keys] : doc) {
+    EXPECT_EQ(parsed_kinds.count(kind), 1u)
+        << "kind '" << kind << "' is documented but not parsed";
   }
 }
 
@@ -253,6 +419,13 @@ TEST(RunSimJob, CsvModeEmitsHeaderPlusOneRowPerPolicy) {
 TEST(RunSimJob, UnknownPolicyThrows) {
   SimJobSpec spec;
   spec.policy = "fastest";  // parse_job_line rejects this; run_ must too
+  std::ostringstream out;
+  EXPECT_THROW(run_sim_job(spec, out, 1), std::invalid_argument);
+}
+
+TEST(RunSimJob, UnknownConfigThrows) {
+  SimJobSpec spec;
+  spec.config = "C";  // used to run config A
   std::ostringstream out;
   EXPECT_THROW(run_sim_job(spec, out, 1), std::invalid_argument);
 }
@@ -337,6 +510,40 @@ TEST(JobService, ServedGridJobIsByteIdenticalToStandaloneRun) {
   std::ostringstream ref;
   run_population_grid_job(grid_job.population_grid, ref, 1);
   EXPECT_EQ(slurp(grid_out), ref.str());
+}
+
+// A trace_replay `file` is always a file, even with no '/' or '.' in its
+// name: "hmmer" must not fall back to the synthetic hmmer profile.
+TEST(JobService, TraceReplayAlwaysOpensItsFile) {
+  const std::string local = "pcs_js_replay_gcc";  // in the working directory
+  {
+    const auto src = make_workload_source("gcc", 7);
+    record_trace(*src, local, 3'000, TraceFormat::kText);
+  }
+  const std::string out_missing = tmp_path("pcs_js_replay_missing.csv");
+  const std::string out_local = tmp_path("pcs_js_replay_local.csv");
+  std::ostringstream jobs;
+  jobs << R"({"kind": "trace_replay", "id": "missing", "file": "hmmer",)"
+       << R"( "refs": 1000, "csv": true, "out": ")" << out_missing << "\"}\n"
+       << R"({"kind": "trace_replay", "id": "local", "file": ")" << local
+       << R"(", "refs": 1000, "csv": true, "out": ")" << out_local << "\"}\n";
+  std::istringstream in(jobs.str());
+  std::ostringstream log;
+  const std::vector<JobOutcome> outcomes = JobService(1).serve(in, log);
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].error, "cannot open trace file: hmmer");
+  EXPECT_TRUE(outcomes[1].ok) << outcomes[1].error;
+
+  // Byte-identical to `pcs_sim --workload ./pcs_js_replay_gcc --csv`.
+  SimJobSpec spec;
+  spec.workload = "./" + local;
+  spec.refs = 1000;
+  spec.csv = true;
+  std::ostringstream ref;
+  run_sim_job(spec, ref, 1);
+  EXPECT_EQ(slurp(out_local), ref.str());
+  std::remove(local.c_str());
 }
 
 TEST(JobService, RejectsDuplicateIdsAndArtifactPaths) {

@@ -59,6 +59,11 @@ TEST(PopulationGridSpec, RejectsDegenerateAxes) {
   spec = small_grid(10);
   spec.sizes_kb = {63};  // set count not a power of two
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_grid(10);
+  spec.sizes_kb = {16, 18014398509481985ull};  // 2^64 + 1024 bytes
+  EXPECT_THROW(spec.validate(), std::invalid_argument);  // not 1 KB
+  EXPECT_EQ(spec.org_for(18014398509481983ull, 4).size_bytes,
+            18446744073709550592ull);  // the largest size that fits
   EXPECT_NO_THROW(small_grid(10).validate());
 }
 

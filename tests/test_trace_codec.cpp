@@ -299,15 +299,15 @@ TEST(PcstContainer, BitFlipRejectedNamingTheBlock) {
 // text and .pcst replays must be byte-identical, at 1 and at 8 threads.
 
 std::string replay_csv(const std::string& file, u32 threads) {
-  TraceReplayJobSpec spec;
-  spec.id = "difftest";
-  spec.file = file;
+  SimJobSpec spec;  // what a trace_replay job runs
+  spec.workload = file;
+  spec.replay = true;
   spec.policy = "all";
   spec.refs = 60'000;
   spec.warmup = 15'000;
   spec.csv = true;
   std::ostringstream out;
-  run_trace_replay_job(spec, out, threads);
+  run_sim_job(spec, out, threads);
   return out.str();
 }
 

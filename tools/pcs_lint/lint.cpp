@@ -90,7 +90,6 @@ LintResult run_lint(const LintOptions& opts) {
     return opts.rules.empty() || opts.rules.count(id) != 0;
   };
   const bool want_schema = want("SCHEMA001");
-  const bool want_job_schema = want("SCHEMA002");
   bool want_tokens = opts.rules.empty();
   for (const std::string& r : opts.rules) {
     if (kTokenRules.count(r) != 0) want_tokens = true;
@@ -130,7 +129,6 @@ LintResult run_lint(const LintOptions& opts) {
 
   // Pass 2: the flow-aware token rules plus the accumulated schema scans.
   SchemaScan schema_scan;
-  JobSchemaScan job_schema_scan;
   std::vector<Diagnostic> raw;
   for (const Lexed& l : lexed) {
     if (want_tokens) {
@@ -138,9 +136,6 @@ LintResult run_lint(const LintOptions& opts) {
     }
     if (want_schema && l.file.rel.rfind("src/", 0) == 0) {
       scan_schema_uses(l.file.rel, l.lx, schema_scan);
-    }
-    if (want_job_schema && l.file.rel.rfind("src/", 0) == 0) {
-      scan_job_schema_uses(l.file.rel, l.lx, job_schema_scan);
     }
   }
 
@@ -152,18 +147,6 @@ LintResult run_lint(const LintOptions& opts) {
     } else if (full_tree) {
       result.diags.push_back({"SCHEMA001", "TELEMETRY.md", 1,
                               "TELEMETRY.md not found under lint root '" +
-                                  opts.root + "'"});
-    }
-  }
-  if (want_job_schema) {
-    const fs::path md = root / "POPULATION.md";
-    std::string content;
-    if (read_file(md, content)) {
-      check_job_schema(content, "POPULATION.md", job_schema_scan, full_tree,
-                       raw);
-    } else if (full_tree) {
-      result.diags.push_back({"SCHEMA002", "POPULATION.md", 1,
-                              "POPULATION.md not found under lint root '" +
                                   opts.root + "'"});
     }
   }

@@ -50,9 +50,6 @@
 //   SCHEMA001 telemetry record/field string literals in src/ must match the
 //             TELEMETRY.md schema appendix, both directions, and the
 //             documented schema version must match kTelemetrySchemaVersion
-//   SCHEMA002 job-file schema literals in src/ (jstr/jnum/jreal/jbool key
-//             accessors and the kJobKinds table) must match POPULATION.md's
-//             ```job-schema block, both directions
 //   BUDGET001 the committed per-rule suppression budget (.pcs-lint-budget)
 //             must equal the tree's actual suppression counts -- the budget
 //             is a ratchet: any change to it shows up in review
@@ -232,29 +229,6 @@ void scan_schema_uses(const std::string& rel_path, const LexResult& lx,
 void check_schema(const std::string& telemetry_md,
                   const std::string& md_rel_path, const SchemaScan& scan,
                   bool both_directions, std::vector<Diagnostic>& diags);
-
-// -- SCHEMA002 -------------------------------------------------------------
-
-// Job-file schema uses accumulated over every scanned src/ file: the key
-// literals read through the jstr/jnum/jreal/jbool accessors and the kind
-// literals in the kJobKinds table (see src/exp/job_service.cpp).
-struct JobSchemaScan {
-  std::vector<SchemaUse> kinds;  // kJobKinds[] = {"sim", ...} literals
-  std::vector<SchemaUse> keys;   // jstr(obj, "key", ...) literals
-};
-
-void scan_job_schema_uses(const std::string& rel_path, const LexResult& lx,
-                          JobSchemaScan& scan);
-
-// Compares the accumulated uses against the ```job-schema block of
-// POPULATION.md (one `kind: key key ...` line per job kind; content in
-// `population_md`, reported as `md_rel_path`). `both_directions`
-// additionally reports documented-but-never-used entries; it is disabled
-// when only an explicit subset of files was scanned.
-void check_job_schema(const std::string& population_md,
-                      const std::string& md_rel_path,
-                      const JobSchemaScan& scan, bool both_directions,
-                      std::vector<Diagnostic>& diags);
 
 // -- Driver ----------------------------------------------------------------
 

@@ -541,8 +541,6 @@ const std::vector<RuleInfo>& rule_registry() {
        "every PopulationSpec/PopulationGridSpec field appears in its "
        "canonical fingerprint string (checkpoint validity)"},
       {"SCHEMA001", "telemetry emissions match the TELEMETRY.md schema"},
-      {"SCHEMA002", "job-file schema matches the POPULATION.md job-schema "
-                    "block"},
       {"BUDGET001",
        "per-rule suppression counts match the committed .pcs-lint-budget "
        "ratchet"},
