@@ -7,6 +7,7 @@
 // scripts/run_bench.sh snapshots them into BENCH_micro.json per PR.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "exp/sweep_engine.hpp"
 #include "fault/bist.hpp"
 #include "fault/cell_fault_field.hpp"
+#include "fault/fail_threshold.hpp"
 #include "fault/fault_map.hpp"
 #include "tech/technology.hpp"
 #include "trace/encode.hpp"
@@ -149,6 +151,80 @@ void BM_FaultMapBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FaultMapBuild);
+
+/// One die through PcsSystem::manufacture: per level, the ladder selection,
+/// the threshold table over the ladder and the classified draws
+/// (FaultMap::sample). Arg 0 = config A, 1 = config B; items = dies.
+void BM_ManufactureDie(benchmark::State& state) {
+  const SystemConfig cfg = state.range(0) == 0 ? SystemConfig::config_a()
+                                               : SystemConfig::config_b();
+  u64 seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PcsSystem::manufacture(cfg, seed++));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ManufactureDie)->Arg(0)->Arg(1);
+
+/// The reference grid's 168 (sigma, rung) thresholds, merged as the grid
+/// engine merges them.
+std::vector<double> reference_grid_z() {
+  const BerModel ber(Technology::soi45());
+  std::vector<double> z;
+  for (const double sigma : {0.1426, 0.1585, 0.1823}) {
+    for (const Volt v : PopulationSpec{}.grid()) {
+      z.push_back(fail_z_threshold(ber.mu(), sigma, v));
+    }
+  }
+  std::sort(z.begin(), z.end());
+  return z;
+}
+
+/// The per-block classifier alone: one 64 KB die's 1,024 draws against the
+/// reference grid's 168 thresholds, cycling through 64 pre-drawn dies.
+/// Items = blocks, so ns/item is the per-block cost that replaced the
+/// fail-voltage chain (BM_FaultFieldSampling).
+void BM_FailCodeClassify(benchmark::State& state) {
+  const FailThresholdTable table(512.0, reference_grid_z());
+  constexpr u64 kDies = 64;
+  constexpr u64 kBlocks = 1024;
+  std::vector<double> u(kDies * kBlocks);
+  Rng rng(5);
+  rng.uniform_block(std::span<double>(u));
+  std::vector<u32> cls(kBlocks);
+  u64 die = 0;
+  for (auto _ : state) {
+    table.classify_block(u.data() + (die++ % kDies) * kBlocks, kBlocks,
+                         cls.data());
+    benchmark::DoNotOptimize(cls.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(kBlocks));
+}
+BENCHMARK(BM_FailCodeClassify);
+
+/// Building a table: the z thresholds and the lock-step cut search. Arg 0
+/// = config A's L2 ladder (once per level per manufactured die), 1 = the
+/// reference grid's 168 thresholds (once per grid run).
+void BM_FailThresholdSearch(benchmark::State& state) {
+  const SystemConfig cfg = SystemConfig::config_a();
+  const BerModel ber(cfg.tech);
+  const std::vector<Volt> ladder =
+      PcsSystem::manufacture_level(cfg, cfg.l2, 1).ladder.levels;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      std::vector<double> thr;
+      for (const Volt v : ladder) {
+        thr.push_back(static_cast<double>(static_cast<float>(v)));
+      }
+      benchmark::DoNotOptimize(FailThresholdTable::for_voltages(
+          ber.mu(), ber.sigma(), cfg.l2.org.bits_per_block(), thr));
+    } else {
+      benchmark::DoNotOptimize(FailThresholdTable(512.0, reference_grid_z()));
+    }
+  }
+}
+BENCHMARK(BM_FailThresholdSearch)->Arg(0)->Arg(1);
 
 void BM_FaultMapViable(benchmark::State& state) {
   const BerModel ber(Technology::soi45());
@@ -513,10 +589,9 @@ PopulationGridSpec grid_spec() {
 
 }  // namespace grid_bench
 
-/// One die through the whole grid: uniforms and order-statistic deviates
-/// drawn once at the largest size, fail voltages re-materialized per sigma,
-/// smaller sizes binned from the shared prefix, associativities folded from
-/// the shared fail voltages.
+/// One die through the whole grid: uniforms drawn once at the largest size
+/// and classified once against every sigma's rungs, smaller sizes binned
+/// from the shared prefix, associativities folded once over the classes.
 void BM_PopulationGridDie(benchmark::State& state) {
   const BerModel ber(Technology::soi45());
   const auto spec = grid_bench::grid_spec();

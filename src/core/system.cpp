@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/static_policy.hpp"
-#include "fault/cell_fault_field.hpp"
 #include "trace/workload_source.hpp"
 #include "util/rng.hpp"
 #include "workload/spec_profiles.hpp"
@@ -43,10 +42,9 @@ CacheArena::Spec PcsSystem::storage_spec(const SystemConfig& config) {
   return Hierarchy::storage_spec(config.hierarchy_config());
 }
 
-namespace {
-
-ManufacturedLevel manufacture_level(const SystemConfig& cfg,
-                                    const CacheLevelConfig& lc, u64 seed) {
+ManufacturedLevel PcsSystem::manufacture_level(const SystemConfig& cfg,
+                                               const CacheLevelConfig& lc,
+                                               u64 seed) {
   // Design-time selection for this organisation...
   BerModel ber(cfg.tech);
   VddSelector selector(cfg.tech, ber, lc.org);
@@ -59,9 +57,8 @@ ManufacturedLevel manufacture_level(const SystemConfig& cfg,
 
   // ... then manufacture this particular die.
   Rng rng(seed);
-  CellFaultField field = CellFaultField::sample_fast(
-      ber, lc.org.num_blocks(), lc.org.bits_per_block(), rng);
-  FaultMap map(ladder.levels, field, lc.org.assoc);
+  FaultMap map = FaultMap::sample(ladder.levels, ber, lc.org.num_blocks(),
+                                  lc.org.bits_per_block(), rng, lc.org.assoc);
 
   // A 1-in-100 die may violate the set constraint at the lowest levels;
   // DPCS simply never descends below the lowest viable level on that die.
@@ -74,8 +71,6 @@ ManufacturedLevel manufacture_level(const SystemConfig& cfg,
   }
   return {std::move(ladder), std::move(map), min_viable};
 }
-
-}  // namespace
 
 ManufacturedDie PcsSystem::manufacture(const SystemConfig& config,
                                        u64 chip_seed) {

@@ -124,12 +124,19 @@ class PcsSystem {
   PcsSystem(const SystemConfig& config, PolicyKind kind, ManufacturedDie die,
             CacheArena* arena = nullptr);
 
-  /// Manufactures one die: selects each level's VDD ladder, then samples
-  /// its fault field from a seed drawn from Rng(chip_seed) in L1I, L1D, L2
-  /// order. Throws std::invalid_argument when a ladder's targets are
-  /// unmeetable.
+  /// Manufactures one die: each level through manufacture_level, with a
+  /// seed drawn from Rng(chip_seed) in L1I, L1D, L2 order. Throws
+  /// std::invalid_argument when a ladder's targets are unmeetable.
   static ManufacturedDie manufacture(const SystemConfig& config,
                                      u64 chip_seed);
+
+  /// Manufactures one cache level from its own seed: the ladder `config`
+  /// selects for `lc.org`, the fault map of the die Rng(seed) draws
+  /// (FaultMap::sample), and its DPCS floor. The one level path behind
+  /// manufacture() and MultiPcsSystem.
+  static ManufacturedLevel manufacture_level(const SystemConfig& config,
+                                             const CacheLevelConfig& lc,
+                                             u64 seed);
 
   /// Arena slab footprint of one system built from `config`.
   static CacheArena::Spec storage_spec(const SystemConfig& config);

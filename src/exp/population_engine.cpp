@@ -36,8 +36,10 @@ ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
   // One scalar encodes the die's viability at every ladder voltage: level l
   // is viable iff grid[l-1] > vf_chip (max over sets of min over ways).
   const float vf_chip = chip_fail_voltage(field, org);
-  if (std::upper_bound(grid.begin(), grid.end(),
-                       static_cast<Volt>(vf_chip)) == grid.end()) {
+  const auto chip_rung = static_cast<u32>(
+      std::upper_bound(grid.begin(), grid.end(), static_cast<Volt>(vf_chip)) -
+      grid.begin());
+  if (chip_rung == grid.size()) {
     return {};  // unusable: faulty even at the top level; skip the histogram
   }
 
@@ -50,7 +52,7 @@ ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
   std::vector<u64> faulty_at(n + 2, 0);
   count_fail_rungs(field.fail_voltages(), grid, faulty_at);
   for (u32 l = n; l >= 1; --l) faulty_at[l] += faulty_at[l + 1];
-  return bin_from_fail_summary(vf_chip, faulty_at, field.num_blocks(), grid,
+  return bin_from_fail_summary(chip_rung, faulty_at, field.num_blocks(), grid,
                                min_capacity);
 }
 
@@ -90,15 +92,13 @@ void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
   }
 }
 
-ChipBinPoint bin_from_fail_summary(float vf_chip,
+ChipBinPoint bin_from_fail_summary(u32 chip_rung,
                                    std::span<const u64> faulty_at,
                                    u64 num_blocks, std::span<const Volt> grid,
                                    double min_capacity) {
   ChipBinPoint p;
-  const auto it = std::upper_bound(grid.begin(), grid.end(),
-                                   static_cast<Volt>(vf_chip));
-  if (it == grid.end()) return p;
-  p.floor_level = static_cast<u32>(it - grid.begin()) + 1;
+  if (chip_rung >= grid.size()) return p;
+  p.floor_level = chip_rung + 1;
 
   const u32 n = static_cast<u32>(grid.size());
   const double blocks = static_cast<double>(num_blocks);

@@ -33,6 +33,7 @@
 // count_fail_rungs + bin_from_fail_summary over shared draws.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <future>
 #include <iosfwd>
@@ -99,20 +100,20 @@ ChipBinPoint bin_chip(const CellFaultField& field, const CacheOrg& org,
 /// real rungs, so any sorted non-empty ladder gives the upper_bound answer
 /// exactly (tests/population_reference.hpp holds that oracle). `rung_counts`
 /// must have grid.size() + 2 entries; suffix-summing indices n..1 turns the
-/// buckets into per-level faulty counts. Additive, so the grid engine can
-/// extend a smaller cache's counts with just the new blocks of the next
-/// size up (the draw prefix property, see population_grid.hpp).
+/// buckets into per-level faulty counts. The grid engine computes the same
+/// buckets from the draws instead (FailThresholdTable, population_grid.hpp).
 void count_fail_rungs(std::span<const float> vf, std::span<const Volt> grid,
                       std::span<u64> rung_counts);
 
-/// The binning half of bin_chip: places a die given its viability-floor
-/// scalar `vf_chip` and its suffix-summed per-level faulty counts
-/// `faulty_at` (size grid.size() + 2, 1-based levels) for a cache of
-/// `num_blocks` blocks. bin_chip == count_fail_rungs + suffix sum + this;
-/// the grid engine calls it once per (size, assoc, sigma) point over shared
-/// summaries, which is what keeps every grid point bit-identical to the
-/// serial bin_chip reference.
-ChipBinPoint bin_from_fail_summary(float vf_chip,
+/// The binning half of bin_chip: places a die given the ladder bucket of
+/// its viability-floor scalar, `chip_rung` = upper_bound(grid, vf_chip) -
+/// grid.begin(), and its suffix-summed per-level faulty counts `faulty_at`
+/// (size grid.size() + 2, 1-based levels) for a cache of `num_blocks`
+/// blocks. bin_chip == chip_fail_voltage + count_fail_rungs + suffix sum +
+/// this; the grid engine calls it once per (size, assoc, sigma) point over
+/// shared summaries, which is what keeps every grid point bit-identical to
+/// the serial bin_chip reference.
+ChipBinPoint bin_from_fail_summary(u32 chip_rung,
                                    std::span<const u64> faulty_at,
                                    u64 num_blocks, std::span<const Volt> grid,
                                    double min_capacity);
@@ -248,16 +249,26 @@ void run_population_shards(u32 num_threads, u64 start_shard, u64 num_shards,
     }
     return;
   }
+  // At most two shards per worker are in flight: a finished shard's part
+  // waits only for the in-order merge of the shards before it, so memory
+  // stays O(threads) parts however fast the shards run.
   using Part = std::invoke_result_t<ShardFn&, u64>;
   ThreadPool pool(num_threads);
+  const u64 window = 2 * static_cast<u64>(num_threads);
   std::vector<std::future<Part>> futures;
   futures.reserve(static_cast<std::size_t>(num_shards - start_shard));
-  for (u64 s = start_shard; s < num_shards; ++s) {
-    futures.push_back(pool.submit([&shard, s] { return shard(s); }));
-  }
+  u64 submitted = start_shard;
+  const auto submit_upto = [&](u64 end) {
+    for (; submitted < std::min(end, num_shards); ++submitted) {
+      const u64 s = submitted;
+      futures.push_back(pool.submit([&shard, s] { return shard(s); }));
+    }
+  };
+  submit_upto(start_shard + window);
   for (std::size_t i = 0; i < futures.size(); ++i) {
     merge(start_shard + i, futures[i].get());
     after_merge(start_shard + i + 1);
+    submit_upto(start_shard + i + 1 + window);
   }
 }
 

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
 
 #include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
+#include "fault/fail_threshold.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/vecmath.hpp"
 
 namespace pcs {
 
@@ -137,7 +138,7 @@ PopulationGridResult PopulationGridEngine::run(
             });
   const u64 max_blocks = blocks_of[size_order.back()];
   // Each size's set count per associativity, in size_order: the prefix
-  // boundaries of the one fold pass per (sigma, assoc).
+  // boundaries of the one fold pass per assoc.
   std::vector<u64> set_ends(num_assocs * num_sizes);
   for (std::size_t ai = 0; ai < num_assocs; ++ai) {
     for (std::size_t k = 0; k < num_sizes; ++k) {
@@ -146,6 +147,53 @@ PopulationGridResult PopulationGridEngine::run(
   }
   const double nbits = static_cast<double>(base.org.bits_per_block());
   const u32 num_levels = static_cast<u32>(grid.size());
+
+  // Every (sigma, rung) threshold as a z threshold, merged into one
+  // ascending list: a block's class j (FailThresholdTable::classify of its
+  // draw) is the number of merged thresholds at or below its z, and its rung
+  // at sigma g -- upper_bound(grid, vf) in count_fail_rungs -- is the number
+  // of sigma g's thresholds among the first j. pos[g * levels + l] is the
+  // merged position of sigma g's threshold for grid[l].
+  struct RungThreshold {
+    double z;
+    std::size_t sigma;
+    u32 rung;
+  };
+  std::vector<RungThreshold> thresholds;
+  thresholds.reserve(num_sigmas * num_levels);
+  for (std::size_t gi = 0; gi < num_sigmas; ++gi) {
+    for (u32 l = 0; l < num_levels; ++l) {
+      thresholds.push_back({fail_z_threshold(mu, sigmas[gi], grid[l]), gi, l});
+    }
+  }
+  std::stable_sort(thresholds.begin(), thresholds.end(),
+                   [](const RungThreshold& a, const RungThreshold& b) {
+                     return a.z < b.z;
+                   });
+  const std::size_t num_classes = thresholds.size() + 1;
+  std::vector<double> merged_z(thresholds.size());
+  std::vector<std::size_t> pos(thresholds.size());
+  std::vector<u32> rung_of(num_sigmas * num_classes, 0);  // [g][class]
+  for (std::size_t p = 0; p < thresholds.size(); ++p) {
+    merged_z[p] = thresholds[p].z;
+    pos[thresholds[p].sigma * num_levels + thresholds[p].rung] = p;
+  }
+  for (std::size_t gi = 0; gi < num_sigmas; ++gi) {
+    u32* rungs = rung_of.data() + gi * num_classes;
+    for (std::size_t p = 0; p < thresholds.size(); ++p) {
+      rungs[p + 1] = rungs[p] + (thresholds[p].sigma == gi ? 1u : 0u);
+    }
+  }
+  const FailThresholdTable table(nbits, std::move(merged_z));
+  // chip_fail_voltage seeds its fold with 2.0f (min over ways) and 0.0f
+  // (max over sets); these are their rungs.
+  const auto rung_of_volt = [&](float v) {
+    return static_cast<u32>(std::upper_bound(grid.begin(), grid.end(),
+                                             static_cast<Volt>(v)) -
+                            grid.begin());
+  };
+  const u32 way_seed_rung = rung_of_volt(2.0f);
+  const u32 set_seed_rung = rung_of_volt(0.0f);
 
   const u64 per_shard = std::max<u64>(1, base.chips_per_shard);
   const u64 num_shards =
@@ -187,25 +235,32 @@ PopulationGridResult PopulationGridEngine::run(
     }
   }
 
-  // One shard: manufacture each die once (z chain at the LARGEST size),
-  // derive every grid point from the shared draws. Bit-identity argument:
-  //   vf[b] = float(mu + sigma * z(u_b, nbits)) == sample_fast's value
-  //   (vecmath contract, pinned by tests/test_fault_equivalence), the first
-  //   blocks(size) draws are exactly the smaller cache's draw sequence, and
-  //   the histogram/fold kernels are the standalone engine's own
-  //   (count_fail_rungs / bin_from_fail_summary / chip_fail_voltage, whose
-  //   fold is chip_fail_voltage_prefixes: one walk per (sigma, assoc) over
-  //   the largest size's sets, snapshotted at each smaller size's last set).
+  // One shard: draw each die once (at the LARGEST size) and derive every
+  // grid point from the block classes. Bit-identity argument:
+  //   the class of draw u equals the count of merged thresholds at or below
+  //   z(u) (FailThresholdTable), so rung_of[g][class] is upper_bound(grid,
+  //   float(mu + sigma_g * z(u))) -- count_fail_rungs' bucket of the block's
+  //   sample_fast voltage at sigma g;
+  //   the first blocks(size) draws are exactly the smaller cache's draws;
+  //   the bucket is monotone in vf, so the bucket of chip_fail_voltage
+  //   (max over sets of min over ways, seeded with 2.0f and 0.0f) is the
+  //   same max-min fold over the block buckets with the seeds' buckets --
+  //   and, rung_of[g] being monotone in the class, one class fold per
+  //   assoc serves every sigma (class 0 is rung 0 at every sigma, so it
+  //   seeds the set fold);
+  //   faulty_at[l] at sigma g counts the blocks whose class passes sigma
+  //   g's threshold for grid[l-1], a suffix sum over the class histogram.
+  // bin_from_fail_summary then bins each point as bin_chip does.
   const auto shard_task = [&](u64 s) {
     std::vector<PopulationResult> parts = empty_parts();
     constexpr u64 kChunk = 4096;  // sample_fast's draw-block size
     std::vector<double> u(static_cast<std::size_t>(
         std::min(max_blocks, kChunk)));
-    std::vector<double> z(static_cast<std::size_t>(max_blocks));
-    std::vector<float> vf(static_cast<std::size_t>(max_blocks));
-    std::vector<u64> rungs(num_levels + 2, 0);
+    std::vector<u32> cls(static_cast<std::size_t>(max_blocks));
+    std::vector<u64> class_hist(num_classes, 0);
+    std::vector<u64> at_or_above(num_classes + 1, 0);
     std::vector<u64> faulty_at(num_levels + 2, 0);
-    std::vector<float> vf_chip(num_assocs * num_sizes);  // like set_ends
+    std::vector<u32> chip_class(num_assocs * num_sizes);  // like set_ends
     const u64 first = s * per_shard;
     const u64 end = std::min(base.num_chips, first + per_shard);
     for (u64 c = first; c < end; ++c) {
@@ -213,39 +268,38 @@ PopulationGridResult PopulationGridEngine::run(
       for (u64 at = 0; at < max_blocks; at += kChunk) {
         const u64 todo = std::min(kChunk, max_blocks - at);
         rng.uniform_block(std::span<double>(u.data(), todo));
-        vecmath::sample_z_block(u.data(), todo, nbits,
-                                z.data() + at);
+        table.classify_block(u.data(), todo, cls.data() + at);
       }
-      for (std::size_t gi = 0; gi < num_sigmas; ++gi) {
-        vecmath::vf_from_z_block(z.data(), static_cast<std::size_t>(max_blocks),
-                                 mu, sigmas[gi], vf.data());
-        for (std::size_t ai = 0; ai < num_assocs; ++ai) {
-          chip_fail_voltage_prefixes(
-              vf, spec.assocs[ai],
-              std::span<const u64>(set_ends.data() + ai * num_sizes,
-                                   num_sizes),
-              std::span<float>(vf_chip.data() + ai * num_sizes, num_sizes));
+      for (std::size_t ai = 0; ai < num_assocs; ++ai) {
+        max_min_fold_prefixes<u32>(
+            cls, spec.assocs[ai],
+            std::span<const u64>(set_ends.data() + ai * num_sizes, num_sizes),
+            std::numeric_limits<u32>::max(), 0,
+            std::span<u32>(chip_class.data() + ai * num_sizes, num_sizes));
+      }
+      std::fill(class_hist.begin(), class_hist.end(), u64{0});
+      u64 prev_blocks = 0;
+      for (std::size_t k = 0; k < num_sizes; ++k) {
+        const std::size_t si = size_order[k];
+        const u64 blocks = blocks_of[si];
+        for (u64 b = prev_blocks; b < blocks; ++b) ++class_hist[cls[b]];
+        prev_blocks = blocks;
+        for (std::size_t j = num_classes; j-- > 0;) {
+          at_or_above[j] = at_or_above[j + 1] + class_hist[j];
         }
-        std::fill(rungs.begin(), rungs.end(), u64{0});
-        u64 prev_blocks = 0;
-        for (std::size_t k = 0; k < num_sizes; ++k) {
-          const std::size_t si = size_order[k];
-          const u64 blocks = blocks_of[si];
-          count_fail_rungs(
-              std::span<const float>(vf.data() + prev_blocks,
-                                     static_cast<std::size_t>(blocks -
-                                                              prev_blocks)),
-              grid, rungs);
-          prev_blocks = blocks;
-          faulty_at[num_levels + 1] = rungs[num_levels + 1];
-          for (u32 l = num_levels; l >= 1; --l) {
-            faulty_at[l] = rungs[l] + faulty_at[l + 1];
+        for (std::size_t gi = 0; gi < num_sigmas; ++gi) {
+          for (u32 l = 1; l <= num_levels; ++l) {
+            faulty_at[l] = at_or_above[pos[gi * num_levels + l - 1] + 1];
           }
+          const u32* rungs = rung_of.data() + gi * num_classes;
           for (std::size_t ai = 0; ai < num_assocs; ++ai) {
+            const u32 chip_rung = std::max(
+                set_seed_rung,
+                std::min(way_seed_rung, rungs[chip_class[ai * num_sizes + k]]));
             accumulate_chip(
                 parts[point_index(si, ai, gi)],
-                bin_from_fail_summary(vf_chip[ai * num_sizes + k], faulty_at,
-                                      blocks, grid, base.spcs_min_capacity));
+                bin_from_fail_summary(chip_rung, faulty_at, blocks, grid,
+                                      base.spcs_min_capacity));
           }
         }
       }

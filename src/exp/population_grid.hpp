@@ -4,37 +4,36 @@
 // (size_kb x assoc x sigma) design grid; a single-design population run
 // (chip_binning, the `population` job kind) is the 1x1x1 case. Running
 // each grid point separately would re-manufacture the SAME dies G times:
-// chip c's draws depend only on (seed, c), and the expensive part of
-// manufacturing -- the log/expm1/inv-Q order-statistic chain -- does not
-// depend on the grid axes at all. This engine samples each die ONCE per
-// shard pass and derives every grid point from the shared draws:
+// chip c's draws depend only on (seed, c), and none of them depends on the
+// grid axes. This engine draws each die ONCE per shard pass and derives
+// every grid point from the shared draws:
 //
-//   * sigma axis: vf = float(mu + sigma * z(u, n)) where z is the
-//     (mu, sigma)-independent order-statistic normal deviate
-//     (vecmath::sample_z_block). The z chain is computed once per die; each
-//     sigma is one cheap affine pass (vecmath::vf_from_z_block),
-//     bit-identical to CellFaultField::sample_fast's composition.
+//   * sigma axis: every (sigma, rung) pair is one threshold on the block's
+//     order-statistic deviate z (fail_z_threshold), so one
+//     FailThresholdTable over all of them classifies each block's uniform
+//     draw once; the block's rung at any sigma -- count_fail_rungs' bucket
+//     of its sample_fast voltage -- is a lookup on that class. The z chain
+//     runs only for draws in the table's guard band.
 //   * size axis: Rng::uniform_block draws are exactly consecutive uniform()
-//     calls, so a smaller cache's per-block fail voltages are a bit-exact
-//     PREFIX of a larger cache's for the same (seed, mu, sigma). The die is
-//     sampled at the LARGEST size; smaller sizes reuse the prefix, and the
-//     per-level fault histogram grows incrementally (count_fail_rungs is
-//     additive over block ranges, sizes visited in ascending block order).
+//     calls, so a smaller cache's draws are a bit-exact PREFIX of a larger
+//     cache's for the same seed. The die is drawn at the LARGEST size;
+//     smaller sizes reuse the prefix, and one class histogram grows over
+//     each added block range (sizes visited in ascending block order).
 //   * assoc axis: associativity affects only the min/max fold of
-//     chip_fail_voltage (the same span-based kernel bin_chip uses), never
-//     the draws or the fault histogram. Set s covers the same blocks at
-//     every size, so one fold pass per (sigma, assoc) over the largest
-//     size's sets, snapshotted at each smaller size's last set
-//     (chip_fail_voltage_prefixes), gives every size's value.
+//     chip_fail_voltage, never the draws or the histogram. The rung of the
+//     folded voltage is the same fold over the block rungs, and the rung
+//     is monotone in the class, so one class fold per assoc
+//     (max_min_fold_prefixes over the largest size's sets, snapshotted at
+//     each smaller size's last set) serves every sigma and size.
 //
 // Every per-point PopulationResult is therefore BIT-IDENTICAL to a serial
 // per-die loop over that point's spec with the same seed (sample_fast +
 // bin_chip + accumulate_chip; asserted per point by
-// tests/test_population_grid.cpp, and by the CI grid determinism smoke
-// against chip_binning), at any thread count and any shard size -- the
-// shard/merge determinism contract of population_engine.hpp, including
-// shard-range checkpoint/resume (CheckpointOptions; one histogram set per
-// grid point in the sidecar).
+// tests/test_population_grid.cpp and tests/test_fault_equivalence.cpp, and
+// by the CI grid determinism smoke against chip_binning), at any thread
+// count and any shard size -- the shard/merge determinism contract of
+// population_engine.hpp, including shard-range checkpoint/resume
+// (CheckpointOptions; one histogram set per grid point in the sidecar).
 #pragma once
 
 #include <iosfwd>

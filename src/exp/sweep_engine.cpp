@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <chrono>
 
-// The sweep engine's whole point is inlining the fused per-lane event loop:
-// pull in the template bodies of the cache access paths so step_decoded<K>
-// collapses to straight-line code here. The scalar engine's TUs do NOT
-// include these, so its codegen -- the reference the differential suites
-// and the speedup ratio compare against -- is untouched.
+// The fused per-lane event loop is instantiated here per replacement kind:
+// the template bodies of the cache access paths are pulled in so
+// step_decoded<K> and the hierarchy walk can inline into drive_lanes<K>.
+// The compiler still decides what inlines: GCC 12.2 -O3 keeps
+// CacheLevel::access_impl<kLruPacked>, receive_writeback_impl and
+// PcsController::close_window as out-of-line calls from drive_lanes<0>
+// (objdump). The scalar engine's TUs do NOT include these bodies, so its
+// codegen -- the reference the differential suites compare against -- is
+// untouched.
 #include "cache/cache_level_inl.hpp"
 #include "cache/hierarchy_inl.hpp"
 #include "trace/workload_source.hpp"
@@ -108,10 +112,13 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Decoded events are broadcast to lanes in blocks this big: small enough
-/// to stay resident in L1 next to the lane state, large enough to amortize
-/// the per-block lane-loop overhead.
-constexpr u64 kBlockEvents = 256;
+/// Decoded events are broadcast to lanes in blocks this big. Each lane
+/// replays the whole block before the next lane starts, so a longer block
+/// re-warms each lane's cache-model state less often; the block (96 KB of
+/// TraceEvents) streams from L2. On the 96-point Fig. 4 grid, one thread,
+/// 4096 ran at a median time ratio of 0.93 against 256 over 12 alternating
+/// pairs, and 16384 was no better than 4096.
+constexpr u64 kBlockEvents = 4096;
 
 struct Lane {
   std::unique_ptr<PcsSystem> sys;
@@ -431,33 +438,14 @@ float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org) {
 }
 
 float chip_fail_voltage(std::span<const float> vf, u32 assoc) {
+  // float(block_fail_voltage(b)) in the pre-span loop was a float->double->
+  // float round trip of the stored float, so folding the raw floats is the
+  // identical computation.
   const u64 num_sets = vf.size() / assoc;
   float worst_set = 0.0f;
-  chip_fail_voltage_prefixes(vf, assoc, std::span<const u64>(&num_sets, 1),
-                             std::span<float>(&worst_set, 1));
+  max_min_fold_prefixes(vf, assoc, std::span<const u64>(&num_sets, 1), 2.0f,
+                        0.0f, std::span<float>(&worst_set, 1));
   return worst_set;
-}
-
-void chip_fail_voltage_prefixes(std::span<const float> vf, u32 assoc,
-                                std::span<const u64> set_ends,
-                                std::span<float> out) {
-  // float(block_fail_voltage(b)) in the pre-span loop was a float->double->
-  // float round trip of the stored float, so folding the raw floats here is
-  // the identical computation. Each prefix's value is the running worst-set
-  // max after its last set -- the same fold, in the same order, that a
-  // separate pass over just that prefix would run.
-  float worst_set = 0.0f;
-  u64 s = 0;
-  for (std::size_t p = 0; p < set_ends.size(); ++p) {
-    for (; s < set_ends[p]; ++s) {
-      float best_way = 2.0f;  // above any physical failure voltage
-      for (u32 w = 0; w < assoc; ++w) {
-        best_way = std::min(best_way, vf[s * assoc + w]);
-      }
-      worst_set = std::max(worst_set, best_way);
-    }
-    out[p] = worst_set;
-  }
 }
 
 std::vector<float> chip_fail_voltages_mc(u64 trials, u64 seed,

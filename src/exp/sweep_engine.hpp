@@ -33,6 +33,7 @@
 // sweep_task_profile / sweep_profile).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -148,14 +149,30 @@ float chip_fail_voltage(const CellFaultField& field, const CacheOrg& org);
 float chip_fail_voltage(std::span<const float> vf, u32 assoc);
 
 /// The fold kernel behind chip_fail_voltage, over nested prefixes in one
-/// pass: out[p] is chip_fail_voltage of the first set_ends[p] sets of `vf`
-/// (set_ends ascending, set_ends.back() * assoc <= vf.size(), out the same
-/// length). The grid engine's cache sizes are prefixes of one draw, so one
-/// walk per associativity bins every size; the single-prefix case IS
-/// chip_fail_voltage.
-void chip_fail_voltage_prefixes(std::span<const float> vf, u32 assoc,
-                                std::span<const u64> set_ends,
-                                std::span<float> out);
+/// pass: out[p] is the max over the first set_ends[p] sets of `v` of the
+/// min over each set's `assoc` ways, each min seeded with `way_seed` and
+/// the max with `set_seed` (set_ends ascending, set_ends.back() * assoc <=
+/// v.size(), out the same length). chip_fail_voltage is the float fold of
+/// one prefix seeded with 2.0f and 0.0f; the grid engine folds u32 block
+/// classes, whose cache sizes are prefixes of one draw, so one walk per
+/// associativity serves every size.
+template <class T>
+void max_min_fold_prefixes(std::span<const T> v, u32 assoc,
+                           std::span<const u64> set_ends, T way_seed,
+                           T set_seed, std::span<T> out) {
+  T worst_set = set_seed;
+  u64 s = 0;
+  for (std::size_t p = 0; p < set_ends.size(); ++p) {
+    for (; s < set_ends[p]; ++s) {
+      T best_way = way_seed;
+      for (u32 w = 0; w < assoc; ++w) {
+        best_way = std::min(best_way, v[s * assoc + w]);
+      }
+      worst_set = std::max(worst_set, best_way);
+    }
+    out[p] = worst_set;
+  }
+}
 
 /// Manufactures `trials` dies (per-trial SplitMix64-derived seeds) fanned
 /// across `num_threads` workers; returns per-die fail voltages in trial

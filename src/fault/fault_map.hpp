@@ -11,7 +11,9 @@
 #include <span>
 #include <vector>
 
+#include "fault/ber_model.hpp"
 #include "fault/cell_fault_field.hpp"
+#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace pcs {
@@ -38,6 +40,20 @@ class FaultMap {
   /// Builds from measured per-block failure voltages (e.g. BIST output).
   FaultMap(std::vector<Volt> levels_ascending,
            std::span<const float> block_fail_voltages, u32 assoc_hint = 0);
+
+  /// Builds from per-block codes already computed against these levels
+  /// (each 0..levels.size()).
+  FaultMap(std::vector<Volt> levels_ascending, std::vector<u8> codes,
+           u32 assoc_hint = 0);
+
+  /// The map of a die drawn as CellFaultField::sample_fast(ber, num_blocks,
+  /// bits_per_block, rng) would draw it -- same draws, same codes, same rng
+  /// state afterwards -- but each block's code comes straight from its
+  /// uniform draw through a FailThresholdTable over the levels, so the
+  /// fail-voltage chain runs only for draws in the table's guard band.
+  static FaultMap sample(std::vector<Volt> levels_ascending,
+                         const BerModel& ber, u64 num_blocks,
+                         u32 bits_per_block, Rng& rng, u32 assoc_hint = 0);
 
   u32 num_levels() const noexcept { return static_cast<u32>(levels_.size()); }
   u64 num_blocks() const noexcept { return code_.size(); }
@@ -86,7 +102,9 @@ class FaultMap {
   u64 storage_bits() const noexcept;
 
  private:
+  static void check_levels(const std::vector<Volt>& levels);
   void build_from_voltages(std::span<const float> vf);
+  void summarize_codes();
 
   std::vector<Volt> levels_;
   std::vector<u8> code_;

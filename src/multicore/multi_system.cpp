@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "core/static_policy.hpp"
-#include "core/vdd_levels.hpp"
-#include "fault/cell_fault_field.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -70,29 +68,9 @@ std::unique_ptr<PcsController> MultiPcsSystem::make_controller(
     return std::make_unique<PcsController>(cache, *cpu_, std::move(meter));
   }
 
-  BerModel ber(tech);
-  VddSelector selector(tech, ber, lc.org);
-  VddSelectionParams sel;
-  sel.yield_target = cfg_.base.yield_target;
-  sel.capacity_target = cfg_.base.capacity_target;
-  sel.vdd1_capacity_floor = cfg_.base.vdd1_capacity_floor;
-  sel.num_levels = cfg_.base.num_vdd_levels;
-  VddLadder ladder = selector.select(sel);
-
-  Rng rng(seed);
-  CellFaultField field = CellFaultField::sample_fast(
-      ber, lc.org.num_blocks(), lc.org.bits_per_block(), rng);
-  FaultMap map(ladder.levels, field, lc.org.assoc);
-
-  u32 min_viable = ladder.spcs_level;
-  for (u32 lvl = 1; lvl <= ladder.spcs_level; ++lvl) {
-    if (map.viable(lc.org.assoc, lvl)) {
-      min_viable = lvl;
-      break;
-    }
-  }
-
-  auto mech = std::make_unique<PcsMechanism>(cache, std::move(map), ladder,
+  ManufacturedLevel die = PcsSystem::manufacture_level(cfg_.base, lc, seed);
+  const VddLadder& ladder = die.ladder;
+  auto mech = std::make_unique<PcsMechanism>(cache, std::move(die.map), ladder,
                                              ladder.spcs_level,
                                              cfg_.base.settle_penalty);
   std::unique_ptr<PcsPolicy> policy;
@@ -107,7 +85,8 @@ std::unique_ptr<PcsController> MultiPcsSystem::make_controller(
     dp.hit_latency = lc.hit_latency;
     dp.miss_penalty = lc.miss_penalty_estimate;
     dp.transition_penalty = mech->transition_penalty();
-    policy = std::make_unique<DpcsPolicy>(dp, ladder.spcs_level, min_viable);
+    policy = std::make_unique<DpcsPolicy>(dp, ladder.spcs_level,
+                                          die.min_viable);
   }
 
   CachePowerModel model(tech, lc.org, MechanismSpec::pcs(ladder.num_levels()));

@@ -10,16 +10,24 @@
 // before it can silently shift a figure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "exp/population_grid.hpp"
 #include "fault/ber_model.hpp"
 #include "fault/bist.hpp"
 #include "fault/cell_fault_field.hpp"
+#include "fault/fail_threshold.hpp"
 #include "fault/fault_map.hpp"
+#include "population_reference.hpp"
 #include "tech/technology.hpp"
+#include "threshold_sets.hpp"
+#include "util/mathx.hpp"
 #include "util/rng.hpp"
 #include "util/vecmath.hpp"
 #include "util/vecmath_detail.hpp"
@@ -297,6 +305,194 @@ TEST(FaultEquivalence, ZSplitComposesToSampleVfBlock) {
       }
     }
   }
+}
+
+// ---- Fault classes straight from the draws (FailThresholdTable) ----------
+
+// The scalar std:: chain of CellFaultField::sample_fast_reference as a
+// ZChainFn: what vecmath::sample_z_block computes in its fallback mode.
+void reference_z_chain(const double* u, std::size_t count, double bits,
+                       double* z_out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    double v = u[i];
+    if (v <= 0.0) v = 1e-300;
+    const double p = -std::expm1(std::log(v) / bits);
+    z_out[i] = inv_q_function(p);
+  }
+}
+
+// Scans every lattice point within kBand + 4096 of every cut of the shipped
+// ladders and grids (once per distinct (bits, cut) pair): the table must
+// classify each one as the chain does. The chain itself crosses the
+// threshold non-monotonically a few points around some cuts, so a table
+// without its guard band fails here; the widest such crossing must stay
+// far inside the band.
+TEST(FaultThresholdEquivalence, GuardBandCoversEveryShippedCut) {
+  constexpr u64 kBand = FailThresholdTable::kBand;
+  constexpr u64 kWindow = kBand + 4096;
+  constexpr u64 kEnd = FailThresholdTable::kLatticeEnd;
+  u64 widest_crossing = 0;
+  std::set<std::pair<double, u64>> scanned;
+  std::vector<double> u(4096), z(4096);
+  std::vector<u32> got(4096);
+  for (const test::ThresholdSet& set : test::shipped_threshold_sets()) {
+    const std::vector<double> zs = set.z_list();
+    const FailThresholdTable table(set.bits_per_block, zs);
+    for (const u64 cut : table.cuts()) {
+      if (!scanned.insert({set.bits_per_block, cut}).second) continue;
+      std::vector<std::size_t> at_cut;  // the thresholds with this cut
+      for (std::size_t t = 0; t < zs.size(); ++t) {
+        if (table.cuts()[t] == cut) at_cut.push_back(t);
+      }
+      const u64 lo = cut > kWindow ? cut - kWindow : 0;
+      const u64 hi = std::min(cut + kWindow, kEnd);
+      for (u64 k0 = lo; k0 < hi; k0 += u.size()) {
+        const std::size_t n =
+            static_cast<std::size_t>(std::min<u64>(u.size(), hi - k0));
+        for (std::size_t i = 0; i < n; ++i) {
+          u[i] = static_cast<double>(k0 + i) * 0x1p-53;
+        }
+        vecmath::sample_z_block(u.data(), n, set.bits_per_block, z.data());
+        table.classify_block(u.data(), n, got.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          const u64 k = k0 + i;
+          const auto want = static_cast<u32>(
+              std::upper_bound(zs.begin(), zs.end(), z[i]) - zs.begin());
+          ASSERT_EQ(got[i], want)
+              << set.name << ": lattice point " << k << ", cut " << cut;
+          for (const std::size_t t : at_cut) {
+            if ((z[i] >= zs[t]) != (k >= cut)) {
+              widest_crossing =
+                  std::max(widest_crossing, k >= cut ? k - cut : cut - k);
+            }
+          }
+        }
+      }
+    }
+  }
+  RecordProperty("windows", static_cast<int>(scanned.size()));
+  RecordProperty("widest_crossing", static_cast<int>(widest_crossing));
+  EXPECT_LT(widest_crossing, kBand / 256)
+      << "the chain crosses a threshold " << widest_crossing
+      << " lattice points from its cut";
+}
+
+// The vecmath fallback is the scalar std:: chain. A table searched through
+// that chain must find the same cuts, and classify every draw the same, as
+// the production table -- so a host without the AVX2 kernels manufactures
+// the same fault maps and grid points.
+TEST(FaultThresholdEquivalence, CutsIdenticalUnderTheScalarReferenceChain) {
+  Rng rng(2718);
+  std::vector<double> u(100'000);
+  std::vector<u32> fast(u.size()), scalar(u.size());
+  for (const test::ThresholdSet& set : test::shipped_threshold_sets()) {
+    const FailThresholdTable table(set.bits_per_block, set.z_list());
+    const FailThresholdTable reference(set.bits_per_block, set.z_list(),
+                                       &reference_z_chain);
+    ASSERT_TRUE(std::equal(table.cuts().begin(), table.cuts().end(),
+                           reference.cuts().begin(), reference.cuts().end()))
+        << set.name;
+    rng.uniform_block(std::span<double>(u));
+    u[0] = 0.0;
+    table.classify_block(u.data(), u.size(), fast.data());
+    reference.classify_block(u.data(), u.size(), scalar.data());
+    ASSERT_EQ(fast, scalar) << set.name;
+    for (std::size_t i = 0; i < 1000; ++i) {
+      ASSERT_EQ(reference.classify_by_chain(u[i]), scalar[i]) << set.name;
+    }
+  }
+}
+
+// FaultMap::sample against FaultMap(levels, sample_fast(...)) on random
+// dies: random block counts, widths, associativities and BER models, and
+// random ladders -- non-uniform, 1 level, levels on exact float values.
+TEST(FaultThresholdEquivalence, SampledFaultMapsMatchSampleFast) {
+  Rng pick(31337);
+  u64 dies = 0;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    const u32 assoc = 1u << pick.uniform_int(5);
+    const u64 sets = 1 + pick.uniform_int(256);
+    const u64 blocks = sets * assoc + pick.uniform_int(assoc);
+    const u32 bits = trial % 7 == 0 ? 64 : trial % 11 == 0 ? 4096 : 512;
+    const BerModel ber(pick.uniform(0.0, 0.1), pick.uniform(0.05, 0.25));
+    const u32 num_levels = 1 + static_cast<u32>(pick.uniform_int(8));
+    std::vector<Volt> levels;
+    Volt v = pick.uniform(0.2, 0.7);
+    for (u32 l = 0; l < num_levels; ++l) {
+      // Every third ladder sits on float-representable voltages, so some
+      // fail voltages land exactly on a level.
+      levels.push_back(trial % 3 == 0 ? static_cast<float>(v) : v);
+      v += pick.uniform(0.001, 0.15);
+    }
+    const u64 seed = pick.next_u64();
+    Rng ra(seed), rb(seed);
+    const FaultMap sampled =
+        FaultMap::sample(levels, ber, blocks, bits, ra, assoc);
+    const FaultMap reference(
+        levels, CellFaultField::sample_fast(ber, blocks, bits, rb), assoc);
+    ASSERT_EQ(sampled.num_blocks(), reference.num_blocks());
+    for (u64 b = 0; b < blocks; ++b) {
+      ASSERT_EQ(sampled.code(b), reference.code(b))
+          << "trial " << trial << " block " << b;
+    }
+    for (u32 l = 1; l <= num_levels; ++l) {
+      ASSERT_EQ(sampled.faulty_count(l), reference.faulty_count(l));
+      ASSERT_EQ(sampled.viable(assoc, l), reference.viable(assoc, l));
+    }
+    expect_rng_state_identical(ra, rb);
+    ++dies;
+  }
+  EXPECT_GE(dies, 10'000u);
+}
+
+// PopulationGridEngine (block classes from the draws) against the serial
+// sample_fast + bin_chip reference at every point of random grids:
+// random ladders including single-rung and lo == hi ones, random sigma
+// axes, sizes, associativities and SPCS targets.
+TEST(FaultThresholdEquivalence, GridMatchesSerialPopulationOnRandomSpecs) {
+  Rng pick(4242);
+  u64 dies = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    PopulationGridSpec spec;
+    spec.base.num_chips = 400 + pick.uniform_int(200);
+    spec.base.seed = pick.next_u64();
+    spec.base.chips_per_shard = 1 + pick.uniform_int(300);
+    spec.base.grid_lo = pick.uniform(0.2, 0.8);
+    spec.base.grid_step = pick.uniform(0.003, 0.08);
+    const int shape = trial % 4;  // lo == hi, one rung, short, long
+    spec.base.grid_hi =
+        shape == 0   ? spec.base.grid_lo
+        : shape == 1 ? spec.base.grid_lo + spec.base.grid_step * 0.25
+                     : spec.base.grid_lo + pick.uniform(0.05, 0.6);
+    spec.base.spcs_min_capacity = pick.uniform(0.8, 1.0);
+    spec.sizes_kb = {u64{1} << pick.uniform_int(4), 8};
+    if (spec.sizes_kb[0] == 8) spec.sizes_kb.pop_back();
+    spec.assocs = {1u << pick.uniform_int(3), 16};
+    if (spec.assocs[0] == 16) spec.assocs.pop_back();
+    spec.sigmas.clear();
+    const u64 num_sigmas = 1 + pick.uniform_int(3);
+    for (u64 g = 0; g < num_sigmas; ++g) {
+      spec.sigmas.push_back(0.05 + 0.07 * static_cast<double>(g) +
+                            pick.uniform(0.0, 0.05));
+    }
+    const BerModel ber(pick.uniform(0.0, 0.1), 0.1585);
+    const PopulationGridResult got =
+        PopulationGridEngine(ber, 1 + trial % 3).run(spec);
+    std::size_t p = 0;
+    for (const u64 size_kb : spec.sizes_kb) {
+      for (const u32 assoc : spec.assocs) {
+        for (const Volt sigma : spec.sigmas) {
+          const PopulationResult want = test::serial_population(
+              BerModel(ber.mu(), sigma), spec.point_spec(size_kb, assoc));
+          ASSERT_EQ(got.points.at(p).result, want)
+              << "trial " << trial << " point " << p;
+          ++p;
+        }
+      }
+    }
+    dies += spec.base.num_chips;
+  }
+  EXPECT_GE(dies, 10'000u);
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST(ChipFailVoltagePrefixes, EachSnapshotIsThatPrefixsFold) {
     std::vector<float> vf(static_cast<std::size_t>(set_ends.back()) * assoc);
     for (float& v : vf) v = static_cast<float>(0.3 + 0.8 * rng.uniform());
     std::vector<float> snap(set_ends.size(), -1.0f);
-    chip_fail_voltage_prefixes(vf, assoc, set_ends, snap);
+    max_min_fold_prefixes<float>(vf, assoc, set_ends, 2.0f, 0.0f, snap);
     for (std::size_t p = 0; p < set_ends.size(); ++p) {
       const std::span<const float> prefix(
           vf.data(), static_cast<std::size_t>(set_ends[p]) * assoc);
