@@ -3,14 +3,18 @@
 // space"). Sweeps Interval, SuperInterval, and the LT/HT thresholds --
 // including the paper's original 0.05/0.10 -- on two contrasting workloads,
 // plus the fault-placement randomness check (< 1% spread over seeds).
+//
+// Every run of all four sections is one point of a single grid on the
+// lane-parallel SweepRunner, across PCS_THREADS workers (default: all
+// hardware threads; the output is byte-identical at every thread count).
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "bench_env.hpp"
-#include "core/system.hpp"
+#include "exp/sweep_engine.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "workload/spec_profiles.hpp"
 
 using namespace pcs;
 
@@ -22,22 +26,26 @@ struct Outcome {
   u32 transitions;
 };
 
-Outcome run(const SystemConfig& cfg, const char* wl, u64 refs,
-            u64 chip_seed = 1) {
-  RunParams rp;
-  rp.max_refs = refs;
-  rp.warmup_refs = refs / 5;
-  SimReport base, dpcs;
-  {
-    auto t = make_spec_trace(wl, 42);
-    PcsSystem sys(cfg, PolicyKind::kBaseline, chip_seed);
-    base = sys.run(*t, rp);
+/// Appends the baseline and DPCS points of one (config, workload, die).
+void add_pair(std::vector<ExperimentPoint>& points, const SystemConfig& cfg,
+              const char* wl, const RunParams& rp, u64 chip_seed = 1) {
+  for (PolicyKind kind : {PolicyKind::kBaseline, PolicyKind::kDynamic}) {
+    ExperimentPoint p;
+    p.index = points.size();
+    p.config = cfg;
+    p.workload = wl;
+    p.policy = kind;
+    p.chip_seed = chip_seed;
+    p.params = rp;
+    points.push_back(std::move(p));
   }
-  {
-    auto t = make_spec_trace(wl, 42);
-    PcsSystem sys(cfg, PolicyKind::kDynamic, chip_seed);
-    dpcs = sys.run(*t, rp);
-  }
+}
+
+/// Reads the (baseline, DPCS) pair at `at` and steps `at` past it.
+Outcome next_outcome(const std::vector<SimReport>& rows, u64& at) {
+  const SimReport& base = rows[at];
+  const SimReport& dpcs = rows[at + 1];
+  at += 2;
   return {1.0 - dpcs.total_cache_energy() / base.total_cache_energy(),
           static_cast<double>(dpcs.cycles) / static_cast<double>(base.cycles) - 1.0,
           dpcs.l2.transitions + dpcs.l1d.transitions};
@@ -47,14 +55,16 @@ Outcome run(const SystemConfig& cfg, const char* wl, u64 refs,
 
 int main() {
   // The default is 600'000 refs; PCS_REFS is divided by 2.
-  const u64 refs = env_u64_or_exit("PCS_REFS", 2 * 600'000,
-                                   "[PCS_REFS=N] ablation_policy") /
-                   2;
+  const char* usage = "[PCS_REFS=N] [PCS_THREADS=N] ablation_policy";
+  const u64 refs = env_u64_or_exit("PCS_REFS", 2 * 600'000, usage) / 2;
+  SweepOptions opt;
+  opt.num_threads = threads_or_exit(usage);
   const char* workloads[] = {"hmmer", "gcc"};
+  RunParams rp;
+  rp.max_refs = refs;
+  rp.warmup_refs = refs / 5;
 
-  std::cout << "== ABL-POL(1): threshold sweep (LT/HT) ==\n\n";
-  TextTable t1({"LT/HT", "workload", "DPCS savings", "perf overhead",
-                "transitions"});
+  std::vector<ExperimentPoint> points;
   const double bands[][2] = {{0.01, 0.03}, {0.02, 0.05}, {0.05, 0.10},
                              {0.10, 0.20}};
   for (const auto& b : bands) {
@@ -62,7 +72,39 @@ int main() {
       SystemConfig cfg = SystemConfig::config_a();
       cfg.low_threshold = b[0];
       cfg.high_threshold = b[1];
-      const auto o = run(cfg, wl, refs);
+      add_pair(points, cfg, wl, rp);
+    }
+  }
+  const u64 intervals[] = {500, 2'000, 10'000, 50'000};
+  for (const u64 interval : intervals) {
+    for (const char* wl : workloads) {
+      SystemConfig cfg = SystemConfig::config_a();
+      cfg.l2.dpcs_interval = interval;
+      add_pair(points, cfg, wl, rp);
+    }
+  }
+  const u32 supers[] = {5, 10, 25, 50};
+  for (const u32 si : supers) {
+    for (const char* wl : workloads) {
+      SystemConfig cfg = SystemConfig::config_a();
+      cfg.l1i.super_interval = si;
+      cfg.l1d.super_interval = si;
+      cfg.l2.super_interval = si;
+      add_pair(points, cfg, wl, rp);
+    }
+  }
+  for (u64 seed = 1; seed <= 5; ++seed) {
+    add_pair(points, SystemConfig::config_a(), "hmmer", rp, seed);
+  }
+  const std::vector<SimReport> rows = SweepRunner(opt).run(std::move(points));
+  u64 at = 0;  // walks the pairs in the order they were added
+
+  std::cout << "== ABL-POL(1): threshold sweep (LT/HT) ==\n\n";
+  TextTable t1({"LT/HT", "workload", "DPCS savings", "perf overhead",
+                "transitions"});
+  for (const auto& b : bands) {
+    for (const char* wl : workloads) {
+      const auto o = next_outcome(rows, at);
       t1.add_row({fmt_fixed(b[0], 2) + "/" + fmt_fixed(b[1], 2), wl,
                   fmt_pct(o.savings, 1), fmt_pct(o.overhead, 2),
                   std::to_string(o.transitions)});
@@ -76,11 +118,9 @@ int main() {
   std::cout << "\n== ABL-POL(2): L2 interval sweep ==\n\n";
   TextTable t2({"L2 interval", "workload", "DPCS savings", "perf overhead",
                 "transitions"});
-  for (u64 interval : {500ULL, 2'000ULL, 10'000ULL, 50'000ULL}) {
+  for (const u64 interval : intervals) {
     for (const char* wl : workloads) {
-      SystemConfig cfg = SystemConfig::config_a();
-      cfg.l2.dpcs_interval = interval;
-      const auto o = run(cfg, wl, refs);
+      const auto o = next_outcome(rows, at);
       t2.add_row({fmt_count(interval), wl, fmt_pct(o.savings, 1),
                   fmt_pct(o.overhead, 2), std::to_string(o.transitions)});
     }
@@ -93,13 +133,9 @@ int main() {
   std::cout << "\n== ABL-POL(3): SuperInterval sweep ==\n\n";
   TextTable t3({"SuperInterval", "workload", "DPCS savings",
                 "perf overhead"});
-  for (u32 si : {5u, 10u, 25u, 50u}) {
+  for (const u32 si : supers) {
     for (const char* wl : workloads) {
-      SystemConfig cfg = SystemConfig::config_a();
-      cfg.l1i.super_interval = si;
-      cfg.l1d.super_interval = si;
-      cfg.l2.super_interval = si;
-      const auto o = run(cfg, wl, refs);
+      const auto o = next_outcome(rows, at);
       t3.add_row({std::to_string(si), wl, fmt_pct(o.savings, 1),
                   fmt_pct(o.overhead, 2)});
     }
@@ -111,7 +147,7 @@ int main() {
   TextTable t4({"chip seed", "DPCS savings", "perf overhead"});
   RunningStats sav;
   for (u64 seed = 1; seed <= 5; ++seed) {
-    const auto o = run(SystemConfig::config_a(), "hmmer", refs, seed);
+    const auto o = next_outcome(rows, at);
     sav.add(o.savings);
     t4.add_row({std::to_string(seed), fmt_pct(o.savings, 2),
                 fmt_pct(o.overhead, 2)});

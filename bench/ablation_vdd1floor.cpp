@@ -7,67 +7,66 @@
 // not, so the default selection also demands >= 90% expected capacity at
 // VDD1 (DESIGN.md section 5). This bench sweeps that floor and reports the
 // DPCS savings / performance-overhead frontier it trades along.
+//
+// The floor x workload x {baseline, DPCS} grid runs on the lane-parallel
+// SweepRunner across PCS_THREADS workers (default: all hardware threads;
+// the output is byte-identical at every thread count).
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "bench_env.hpp"
 #include "core/system.hpp"
+#include "exp/sweep_engine.hpp"
 #include "util/table.hpp"
-#include "workload/spec_profiles.hpp"
 
 using namespace pcs;
 
-namespace {
+int main() {
+  // The default is 500'000 refs; PCS_REFS is divided by 4.
+  const char* usage = "[PCS_REFS=N] [PCS_THREADS=N] ablation_vdd1floor";
+  const u64 refs = env_u64_or_exit("PCS_REFS", 4 * 500'000, usage) / 4;
+  SweepOptions opt;
+  opt.num_threads = threads_or_exit(usage);
 
-struct Outcome {
-  Volt vdd1;
-  double savings;
-  double overhead;
-};
-
-Outcome run(double floor, const char* wl, u64 refs) {
-  SystemConfig cfg = SystemConfig::config_b();
-  cfg.vdd1_capacity_floor = floor;
+  const double floors[] = {0.99, 0.95, 0.90, 0.75, 0.50};
+  const char* workloads[] = {"hmmer", "libquantum", "sjeng"};
   RunParams rp;
   rp.max_refs = refs;
   rp.warmup_refs = refs / 4;
-  SimReport base, dpcs;
-  {
-    auto t = make_spec_trace(wl, 42);
-    PcsSystem sys(cfg, PolicyKind::kBaseline, 1);
-    base = sys.run(*t, rp);
+  std::vector<SystemConfig> configs;
+  ExperimentGrid grid;
+  for (const double f : floors) {
+    configs.push_back(SystemConfig::config_b());
+    configs.back().vdd1_capacity_floor = f;
+    grid.add_config(configs.back());
   }
-  Volt vdd1 = 0.0;
-  {
-    auto t = make_spec_trace(wl, 42);
-    PcsSystem sys(cfg, PolicyKind::kDynamic, 1);
-    dpcs = sys.run(*t, rp);
-    vdd1 = sys.ladder("L2").min_vdd();
-  }
-  return {vdd1,
-          1.0 - dpcs.total_cache_energy() / base.total_cache_energy(),
-          static_cast<double>(dpcs.cycles) / static_cast<double>(base.cycles) -
-              1.0};
-}
-
-}  // namespace
-
-int main() {
-  // The default is 500'000 refs; PCS_REFS is divided by 4.
-  const u64 refs = env_u64_or_exit("PCS_REFS", 4 * 500'000,
-                                   "[PCS_REFS=N] ablation_vdd1floor") /
-                   4;
+  for (const char* wl : workloads) grid.add_workload(wl);
+  grid.add_policy(PolicyKind::kBaseline)
+      .add_policy(PolicyKind::kDynamic)
+      .seeds(1, 42)
+      .params(rp);
+  const std::vector<SimReport> rows = SweepRunner(opt).run(grid);
 
   std::cout << "== ABL-VDD1: capacity floor at VDD1 vs DPCS savings and "
                "overhead (Config B) ==\n\n";
   TextTable t({"floor", "L2 VDD1", "workload", "DPCS savings",
                "perf overhead"});
-  const double floors[] = {0.99, 0.95, 0.90, 0.75, 0.50};
-  for (double f : floors) {
-    for (const char* wl : {"hmmer", "libquantum", "sjeng"}) {
-      const auto o = run(f, wl, refs);
-      t.add_row({fmt_pct(f, 0), fmt_fixed(o.vdd1, 2) + " V", wl,
-                 fmt_pct(o.savings, 1), fmt_pct(o.overhead, 2)});
+  u64 at = 0;  // grid order: floor, then workload, then baseline/DPCS
+  for (const SystemConfig& cfg : configs) {
+    const Volt vdd1 = PcsSystem::manufacture(cfg, 1).l2.ladder.min_vdd();
+    for (const char* wl : workloads) {
+      const SimReport& base = rows[at];
+      const SimReport& dpcs = rows[at + 1];
+      at += 2;
+      const double savings =
+          1.0 - dpcs.total_cache_energy() / base.total_cache_energy();
+      const double overhead = static_cast<double>(dpcs.cycles) /
+                                  static_cast<double>(base.cycles) -
+                              1.0;
+      t.add_row({fmt_pct(cfg.vdd1_capacity_floor, 0),
+                 fmt_fixed(vdd1, 2) + " V", wl, fmt_pct(savings, 1),
+                 fmt_pct(overhead, 2)});
     }
   }
   t.print(std::cout);

@@ -54,3 +54,17 @@ pcs_add_usage_test(bench_fig3_yield_rejects_bad_trials bench_fig3_yield
                    "PCS_TRIALS: malformed integer 'abc'")
 set_tests_properties(bench_fig3_yield_rejects_bad_trials PROPERTIES
                      ENVIRONMENT "PCS_TRIALS=abc")
+
+# The four grid benches read PCS_REFS, then PCS_THREADS, before they print
+# anything; either knob malformed is a usage error with empty stdout.
+foreach(b ablation_policy ablation_vdd1floor ext_nlevels_dpcs
+          ext_system_energy)
+  pcs_add_usage_test(bench_${b}_rejects_bad_refs bench_${b}
+                     "PCS_REFS: malformed integer '12abc'")
+  set_tests_properties(bench_${b}_rejects_bad_refs PROPERTIES
+                       ENVIRONMENT "PCS_REFS=12abc")
+  pcs_add_usage_test(bench_${b}_rejects_bad_threads bench_${b}
+                     "PCS_THREADS: malformed integer '4x'")
+  set_tests_properties(bench_${b}_rejects_bad_threads PROPERTIES
+                       ENVIRONMENT "PCS_THREADS=4x")
+endforeach()

@@ -6,66 +6,65 @@
 // over deeper ladders: extra rungs between VDD1 and VDD2 let DPCS settle on
 // intermediate voltages instead of choosing between two extremes, trading a
 // slightly larger fault map for finer-grained savings.
+//
+// The ladder depth x workload x {baseline, DPCS} grid runs on the
+// lane-parallel SweepRunner across PCS_THREADS workers (default: all
+// hardware threads; the output is byte-identical at every thread count).
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "bench_env.hpp"
-#include "core/system.hpp"
+#include "exp/sweep_engine.hpp"
+#include "fault/fault_map.hpp"
 #include "util/table.hpp"
-#include "workload/spec_profiles.hpp"
 
 using namespace pcs;
 
-namespace {
+int main() {
+  // The default is 600'000 refs; PCS_REFS is divided by 3.
+  const char* usage = "[PCS_REFS=N] [PCS_THREADS=N] ext_nlevels_dpcs";
+  const u64 refs = env_u64_or_exit("PCS_REFS", 3 * 600'000, usage) / 3;
+  SweepOptions opt;
+  opt.num_threads = threads_or_exit(usage);
 
-struct Outcome {
-  double savings;
-  double overhead;
-  Volt l2_avg_vdd;
-  u32 transitions;
-};
-
-Outcome run(u32 levels, const char* wl, u64 refs) {
-  SystemConfig cfg = SystemConfig::config_a();
-  cfg.num_vdd_levels = levels;
+  const u32 level_counts[] = {3, 4, 5, 6};
+  const char* workloads[] = {"hmmer", "gcc", "libquantum"};
   RunParams rp;
   rp.max_refs = refs;
   rp.warmup_refs = refs / 4;
-  SimReport base, dpcs;
-  {
-    auto t = make_spec_trace(wl, 42);
-    PcsSystem sys(cfg, PolicyKind::kBaseline, 1);
-    base = sys.run(*t, rp);
+  ExperimentGrid grid;
+  for (const u32 n : level_counts) {
+    SystemConfig cfg = SystemConfig::config_a();
+    cfg.num_vdd_levels = n;
+    grid.add_config(cfg);
   }
-  {
-    auto t = make_spec_trace(wl, 42);
-    PcsSystem sys(cfg, PolicyKind::kDynamic, 1);
-    dpcs = sys.run(*t, rp);
-  }
-  return {1.0 - dpcs.total_cache_energy() / base.total_cache_energy(),
-          static_cast<double>(dpcs.cycles) / static_cast<double>(base.cycles) - 1.0,
-          dpcs.l2.avg_vdd, dpcs.l2.transitions + dpcs.l1d.transitions};
-}
-
-}  // namespace
-
-int main() {
-  // The default is 600'000 refs; PCS_REFS is divided by 3.
-  const u64 refs = env_u64_or_exit("PCS_REFS", 3 * 600'000,
-                                   "[PCS_REFS=N] ext_nlevels_dpcs") /
-                   3;
+  for (const char* wl : workloads) grid.add_workload(wl);
+  grid.add_policy(PolicyKind::kBaseline)
+      .add_policy(PolicyKind::kDynamic)
+      .seeds(1, 42)
+      .params(rp);
+  const std::vector<SimReport> rows = SweepRunner(opt).run(grid);
 
   std::cout << "== EXT-N: DPCS over deeper VDD ladders (Config A) ==\n\n";
   TextTable t({"N levels", "FM bits+Faulty", "workload", "DPCS savings",
                "perf overhead", "L2 avg VDD", "transitions"});
-  for (u32 n : {3u, 4u, 5u, 6u}) {
+  u64 at = 0;  // grid order: ladder depth, then workload, then baseline/DPCS
+  for (const u32 n : level_counts) {
     const u32 fm = FaultMap::fm_bits_for_levels(n);
-    for (const char* wl : {"hmmer", "gcc", "libquantum"}) {
-      const auto o = run(n, wl, refs);
+    for (const char* wl : workloads) {
+      const SimReport& base = rows[at];
+      const SimReport& dpcs = rows[at + 1];
+      at += 2;
+      const double savings =
+          1.0 - dpcs.total_cache_energy() / base.total_cache_energy();
+      const double overhead = static_cast<double>(dpcs.cycles) /
+                                  static_cast<double>(base.cycles) -
+                              1.0;
       t.add_row({std::to_string(n), std::to_string(fm) + "+1", wl,
-                 fmt_pct(o.savings, 1), fmt_pct(o.overhead, 2),
-                 fmt_fixed(o.l2_avg_vdd, 3) + " V",
-                 std::to_string(o.transitions)});
+                 fmt_pct(savings, 1), fmt_pct(overhead, 2),
+                 fmt_fixed(dpcs.l2.avg_vdd, 3) + " V",
+                 std::to_string(dpcs.l2.transitions + dpcs.l1d.transitions)});
     }
   }
   t.print(std::cout);

@@ -6,38 +6,44 @@
 // system energy, and any execution-time overhead charges core and DRAM
 // background energy against the gains -- quantifying how much slowdown a
 // cache-energy optimization can afford at the system level.
+//
+// The workload x {baseline, SPCS, DPCS} grid runs on the lane-parallel
+// SweepRunner across PCS_THREADS workers (default: all hardware threads;
+// the output is byte-identical at every thread count).
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
+#include <vector>
 
 #include "bench_env.hpp"
-#include "core/system.hpp"
 #include "core/system_energy.hpp"
+#include "exp/sweep_engine.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "workload/spec_profiles.hpp"
 
 using namespace pcs;
 
-namespace {
+int main() {
+  // The default is 800'000 refs; PCS_REFS is divided by 2.
+  const char* usage = "[PCS_REFS=N] [PCS_THREADS=N] ext_system_energy";
+  const u64 refs = env_u64_or_exit("PCS_REFS", 2 * 800'000, usage) / 2;
+  SweepOptions opt;
+  opt.num_threads = threads_or_exit(usage);
+  const SystemEnergyModel model({}, SystemConfig::config_a().clock_ghz * 1e9);
 
-SimReport run(PolicyKind kind, const char* wl, u64 refs) {
-  const SystemConfig cfg = SystemConfig::config_a();
-  auto t = make_spec_trace(wl, 42);
-  PcsSystem sys(cfg, kind, 1);
+  const char* workloads[] = {"hmmer", "gcc", "mcf", "libquantum", "sphinx3"};
   RunParams rp;
   rp.max_refs = refs;
   rp.warmup_refs = refs / 4;
-  return sys.run(*t, rp);
-}
-
-}  // namespace
-
-int main() {
-  // The default is 800'000 refs; PCS_REFS is divided by 2.
-  const u64 refs = env_u64_or_exit("PCS_REFS", 2 * 800'000,
-                                   "[PCS_REFS=N] ext_system_energy") /
-                   2;
-  const SystemEnergyModel model({}, SystemConfig::config_a().clock_ghz * 1e9);
+  ExperimentGrid grid;
+  grid.add_config(SystemConfig::config_a());
+  for (const char* wl : workloads) grid.add_workload(wl);
+  grid.add_policy(PolicyKind::kBaseline)
+      .add_policy(PolicyKind::kStatic)
+      .add_policy(PolicyKind::kDynamic)
+      .seeds(1, 42)
+      .params(rp);
+  const std::vector<SimReport> rows = SweepRunner(opt).run(grid);
 
   std::cout << "== EXT-SYS: whole-system energy (core + DRAM + caches, "
                "Config A) ==\n\n";
@@ -45,20 +51,20 @@ int main() {
                "system total", "cache share", "cache savings",
                "system savings"});
   RunningStats cache_sav, sys_sav;
-  for (const char* wl : {"hmmer", "gcc", "mcf", "libquantum", "sphinx3"}) {
-    const auto base = run(PolicyKind::kBaseline, wl, refs);
-    const auto eb = model.evaluate(base);
-    for (PolicyKind kind : {PolicyKind::kStatic, PolicyKind::kDynamic}) {
-      const auto r = run(kind, wl, refs);
+  for (std::size_t w = 0; w < std::size(workloads); ++w) {
+    // Grid order: workload, then baseline/SPCS/DPCS.
+    const auto eb = model.evaluate(rows[3 * w]);
+    for (std::size_t k = 1; k <= 2; ++k) {
+      const SimReport& r = rows[3 * w + k];
       const auto e = model.evaluate(r);
       const double cs = 1.0 - e.cache / eb.cache;
       const double ss = 1.0 - e.total() / eb.total();
       cache_sav.add(cs);
       sys_sav.add(ss);
-      t.add_row({wl, r.policy, fmt_joules(e.core), fmt_joules(e.dram),
-                 fmt_joules(e.cache), fmt_joules(e.total()),
-                 fmt_pct(eb.cache / eb.total(), 1), fmt_pct(cs, 1),
-                 fmt_pct(ss, 1)});
+      t.add_row({workloads[w], r.policy, fmt_joules(e.core),
+                 fmt_joules(e.dram), fmt_joules(e.cache),
+                 fmt_joules(e.total()), fmt_pct(eb.cache / eb.total(), 1),
+                 fmt_pct(cs, 1), fmt_pct(ss, 1)});
     }
   }
   t.print(std::cout);

@@ -27,7 +27,6 @@
 
 #include "bench_env.hpp"
 #include "core/system.hpp"
-#include "exp/experiment_runner.hpp"
 #include "exp/sweep_engine.hpp"
 #include "telemetry/trace_sink.hpp"
 #include "util/stats.hpp"
@@ -81,8 +80,8 @@ std::vector<std::vector<Row>> run_grid(u64 refs, u32 threads) {
     emit_trace_header(*sink);
   }
   // The lane-parallel engine decodes each trace once per shard of grid
-  // points; its reports are bit-identical to per-point ExperimentRunner
-  // runs (pinned by the golden regression and the differential suite).
+  // points; its reports are bit-identical to per-point run_one runs
+  // (pinned by the golden regression and the differential suite).
   SweepOptions opt;
   opt.num_threads = threads;
   const std::vector<SimReport> reports = SweepRunner(opt).run(grid, sink.get());

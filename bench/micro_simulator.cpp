@@ -435,8 +435,8 @@ BENCHMARK(BM_SweepLanesReplay)->Arg(1)->Arg(8)->Arg(16);
 namespace sweep_bench {
 
 /// Miniature Fig. 4 grid (1 config x 2 workloads x 3 policies, 20k refs):
-/// the scalar/lane-parallel pair below runs it through each engine at one
-/// thread, so their ratio is the single-core speedup of shared trace
+/// the pair below runs it as a scalar run_one loop and on SweepRunner at
+/// one thread, so their ratio is the single-core speedup of shared trace
 /// decode + fused dispatch (the full-sweep number lives in BENCH_sweep.json
 /// via scripts/run_bench.sh).
 ExperimentGrid mini_grid() {
@@ -458,12 +458,15 @@ ExperimentGrid mini_grid() {
 }  // namespace sweep_bench
 
 void BM_Fig4SweepScalar(benchmark::State& state) {
-  const auto grid = sweep_bench::mini_grid();
+  const auto points = sweep_bench::mini_grid().expand();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ExperimentRunner(1).run(grid));
+    for (const auto& p : points) {
+      benchmark::DoNotOptimize(run_one(p.config, p.workload, p.policy,
+                                       p.chip_seed, p.trace_seed, p.params));
+    }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<i64>(grid.size()) * 25'000);
+                          static_cast<i64>(points.size()) * 25'000);
 }
 BENCHMARK(BM_Fig4SweepScalar);
 

@@ -1,13 +1,13 @@
-// Declarative experiment grids fanned across the thread pool.
+// Declarative experiment grids: the input and output shapes of SweepRunner.
 //
 // A figure sweep is a cross product {SystemConfig} x {workload} x
-// {PolicyKind} (x replicates for Monte-Carlo trials). ExperimentGrid
-// expands that product into an ordered task list, ExperimentRunner executes
-// it -- inline when one thread is requested (the legacy serial path),
-// across a work-stealing ThreadPool otherwise -- and RunAggregator collects
-// SimReport rows back into grid order regardless of completion order.
-// Seeds are fixed per task before anything runs, so the results are
-// bit-identical at every thread count.
+// {PolicyKind}. ExperimentGrid expands that product into an ordered list of
+// ExperimentPoints (benches whose points differ in more than that product,
+// e.g. the chip seed, build the points by hand), SweepRunner
+// (exp/sweep_engine.hpp) executes them, and RunAggregator collects SimReport
+// rows back into grid order regardless of completion order. Seeds are fixed
+// per point before anything runs, so the results are bit-identical at every
+// thread count; run_one (core/system.hpp) is the scalar reference.
 #pragma once
 
 #include <condition_variable>
@@ -18,22 +18,9 @@
 
 #include "core/config.hpp"
 #include "core/system.hpp"
-#include "exp/thread_pool.hpp"
-#include "telemetry/trace_sink.hpp"
 #include "util/types.hpp"
 
 namespace pcs {
-
-/// How per-task seeds are assigned during grid expansion.
-enum class SeedScheme {
-  /// Every task runs the grid's (chip_seed, trace_seed) verbatim -- the
-  /// same die and the same address stream everywhere, exactly like the
-  /// original serial benches. Figure sweeps use this.
-  kShared,
-  /// Task i runs derive_seed(chip_seed, trace_seed, i) for both seeds --
-  /// independent dies / streams per task. Monte-Carlo trials use this.
-  kPerTask,
-};
 
 /// One fully-specified simulation: the experiment engine's unit of work.
 struct ExperimentPoint {
@@ -47,8 +34,8 @@ struct ExperimentPoint {
 };
 
 /// Builder for the task cross product. Expansion order is config-major:
-/// for each config, for each workload, for each policy, for each replicate
-/// -- matching the nesting of the original serial bench loops.
+/// for each config, for each workload, for each policy. Every point runs
+/// the grid's (chip_seed, trace_seed): one die and one address stream.
 class ExperimentGrid {
  public:
   ExperimentGrid& add_config(const SystemConfig& cfg);
@@ -57,8 +44,6 @@ class ExperimentGrid {
   ExperimentGrid& add_policy(PolicyKind kind);
   ExperimentGrid& seeds(u64 chip_seed, u64 trace_seed);
   ExperimentGrid& params(const RunParams& rp);
-  ExperimentGrid& replicates(u32 n);
-  ExperimentGrid& seed_scheme(SeedScheme scheme);
 
   u64 size() const noexcept;
   std::vector<ExperimentPoint> expand() const;
@@ -70,8 +55,6 @@ class ExperimentGrid {
   u64 chip_seed_ = 1;
   u64 trace_seed_ = 42;
   RunParams params_;
-  u32 replicates_ = 1;
-  SeedScheme scheme_ = SeedScheme::kShared;
 };
 
 /// Thread-safe slot array that restores grid order.
@@ -100,46 +83,19 @@ class RunAggregator {
   u64 filled_ = 0;
 };
 
-/// Execution statistics for one ExperimentRunner::run call. Observability
-/// only -- collecting them never affects simulation results. The wall-clock
+/// Execution statistics for one SweepRunner::run call. Observability only
+/// -- collecting them never affects simulation results. The wall-clock
 /// fields are non-deterministic (they vary run to run and with the thread
 /// count); they feed exclusively the trace's profiling section
-/// (`runner_task_profile` / `runner_profile` records), which determinism
+/// (`sweep_task_profile` / `sweep_profile` records), which determinism
 /// tests exclude.
 struct RunnerStats {
   u32 threads = 0;             ///< workers the runner used
-  u64 tasks = 0;               ///< grid points executed
+  u64 tasks = 0;               ///< shards (pool tasks) executed
   u64 steals = 0;              ///< pool cross-worker steals (0 when serial)
   u64 max_queue_depth = 0;     ///< deepest single worker deque seen
   double wall_ms_total = 0.0;  ///< sum of per-task wall times (not elapsed)
-  std::vector<double> task_wall_ms;  ///< per grid index
-};
-
-/// Executes expanded grids. One thread = inline serial loop in grid order;
-/// more = ThreadPool fan-out, same results bit-for-bit.
-class ExperimentRunner {
- public:
-  explicit ExperimentRunner(u32 num_threads = pcs_thread_count());
-
-  u32 num_threads() const noexcept { return num_threads_; }
-
-  std::vector<SimReport> run(const ExperimentGrid& grid) const;
-  std::vector<SimReport> run(std::vector<ExperimentPoint> points) const;
-
-  /// As run(), additionally streaming telemetry into `trace` and filling
-  /// `stats` (either may be null). Every task records into its own
-  /// MemoryTraceSink; buffers are replayed into `trace` in grid order after
-  /// the sweep, so the deterministic section of the trace is byte-identical
-  /// at any thread count. The profiling records (wall clock, steals, queue
-  /// depth) are appended after the deterministic section.
-  std::vector<SimReport> run(const ExperimentGrid& grid, TraceSink* trace,
-                             RunnerStats* stats = nullptr) const;
-  std::vector<SimReport> run(std::vector<ExperimentPoint> points,
-                             TraceSink* trace,
-                             RunnerStats* stats = nullptr) const;
-
- private:
-  u32 num_threads_;
+  std::vector<double> task_wall_ms;  ///< per shard
 };
 
 }  // namespace pcs

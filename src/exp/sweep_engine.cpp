@@ -14,6 +14,7 @@
 // untouched.
 #include "cache/cache_level_inl.hpp"
 #include "cache/hierarchy_inl.hpp"
+#include "exp/thread_pool.hpp"
 #include "trace/workload_source.hpp"
 #include "util/rng.hpp"
 #include "workload/spec_profiles.hpp"
@@ -259,9 +260,8 @@ std::vector<SimReport> run_shard(const std::vector<ExperimentPoint>& points,
   return reps;
 }
 
-/// Grid-order task identity for the deterministic `runner_task` records
-/// (same layout as the scalar engine's, so traced sweeps produce the same
-/// deterministic section).
+/// Grid-order task identity for the deterministic `runner_task` records,
+/// captured before the points are handed to the workers.
 struct TaskDesc {
   std::string config;
   std::string workload;
@@ -383,9 +383,8 @@ std::vector<SimReport> SweepRunner::run(std::vector<ExperimentPoint> points,
   }
 
   if (trace) {
-    // Deterministic section: identical record-for-record to the scalar
-    // ExperimentRunner's (same runner_task layout, same per-lane buffered
-    // records, grid order).
+    // Deterministic section: each point's runner_task frame, then its
+    // buffered records (what a traced run_one emits), in grid order.
     for (u64 i = 0; i < n; ++i) {
       TraceRecord rec("runner_task");
       rec.field("task", i)

@@ -2,9 +2,9 @@
 //
 // The figure sweeps are grids of cache configurations evaluated over the
 // SAME synthetic address stream: Fig. 4 replays each workload once per
-// (config x policy) cell, so the scalar ExperimentRunner decodes every
-// trace event #configs times. This engine decodes each event ONCE and
-// replays it into N resident configurations ("lanes"):
+// (config x policy) cell, so a per-point run_one loop decodes every trace
+// event #configs times. This engine decodes each event ONCE and replays it
+// into N resident configurations ("lanes"):
 //
 //   * Tier A -- CacheLaneSweep: N bare CacheLevels (one per lane) packed
 //     into a single CacheArena, updated per decoded CacheOp. This is the
@@ -19,17 +19,18 @@
 //     task, shards across tasks. Each lane's operation sequence is exactly
 //     the scalar PcsSystem::run() sequence (decoded event -> step ->
 //     controller ticks), so every SimReport is bit-identical to
-//     ExperimentRunner's, at any thread count and any lane count.
+//     run_one's, at any thread count and any lane count.
 //
 // Determinism argument (DESIGN.md section 12): lanes never share mutable
 // state -- each owns its hierarchy, controllers, meters, and RNG-derived
 // fault maps (lanes of one (config, chip_seed) copy their maps from one
 // manufacture per shard); the shared trace generator is read-only
-// broadcast after decode. Shard composition depends only on the grid and max_lanes, never
-// on the thread count, and reports are deposited by grid index. Telemetry
-// follows the experiment-runner discipline: per-lane buffered sinks
-// replayed in grid order (deterministic section byte-identical to the
-// scalar engine's), profiling records appended after (see TELEMETRY.md:
+// broadcast after decode. Shard composition depends only on the grid and
+// max_lanes, never on the thread count, and reports are deposited by grid
+// index. Telemetry: each lane buffers the records a traced run_one would
+// emit; the buffers are replayed in grid order, each behind a `runner_task`
+// frame, so the deterministic section is byte-identical at any thread and
+// lane count; profiling records are appended after (see TELEMETRY.md:
 // sweep_task_profile / sweep_profile).
 #pragma once
 
@@ -43,6 +44,7 @@
 #include "cache/cache_level.hpp"
 #include "exp/experiment_runner.hpp"
 #include "fault/cell_fault_field.hpp"
+#include "telemetry/trace_sink.hpp"
 
 namespace pcs {
 
@@ -110,11 +112,11 @@ struct SweepOptions {
   u32 max_lanes = 16;   ///< lanes (grid points) per shard/task
 };
 
-/// Executes expanded experiment grids with shared trace decode.
-///
-/// Drop-in for ExperimentRunner::run: same inputs, bit-identical
-/// SimReports (asserted by tests/test_sweep_equivalence.cpp and the golden
-/// figure regressions), byte-identical deterministic trace section.
+/// Executes expanded experiment grids with shared trace decode: the one
+/// grid executor. Reports come back in grid order, each bit-identical to
+/// run_one for its point (asserted by tests/test_sweep_equivalence.cpp and
+/// the golden figure regressions). The first failing point's exception
+/// (lowest grid index) is rethrown to the caller.
 class SweepRunner {
  public:
   explicit SweepRunner(const SweepOptions& opt = {});

@@ -14,7 +14,7 @@
 // (static storage duration): records store the pointers, not copies.
 //
 // Sinks are NOT thread-safe; give each concurrent producer its own
-// MemoryTraceSink and replay serially (see exp/experiment_runner).
+// MemoryTraceSink and replay serially (see exp/sweep_engine).
 #pragma once
 
 #include <fstream>

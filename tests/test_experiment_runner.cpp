@@ -1,5 +1,7 @@
-// Experiment engine: thread pool semantics, seed derivation, and the core
-// guarantee -- parallel sweeps are bit-identical to the serial loop.
+// Experiment engine: thread pool semantics, seed derivation, grid
+// expansion, and the core guarantee -- SweepRunner's reports are
+// bit-identical to the serial run_one loop at every thread count, and a
+// failing point surfaces to the caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +13,7 @@
 
 #include "core/system.hpp"
 #include "exp/experiment_runner.hpp"
+#include "exp/sweep_engine.hpp"
 #include "exp/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -136,27 +139,6 @@ TEST(ExperimentGrid, ExpandsConfigMajorWithSharedSeeds) {
   for (u64 i = 0; i < pts.size(); ++i) EXPECT_EQ(pts[i].index, i);
 }
 
-TEST(ExperimentGrid, PerTaskSchemeDerivesDistinctSeeds) {
-  ExperimentGrid grid;
-  grid.add_config(SystemConfig::config_a())
-      .add_workload("hmmer")
-      .add_policy(PolicyKind::kBaseline)
-      .seeds(1, 42)
-      .replicates(16)
-      .seed_scheme(SeedScheme::kPerTask);
-  const auto pts = grid.expand();
-  ASSERT_EQ(pts.size(), 16u);
-  std::set<u64> chips, traces;
-  for (const auto& p : pts) {
-    chips.insert(p.chip_seed);
-    traces.insert(p.trace_seed);
-    EXPECT_EQ(p.chip_seed, derive_seed(1, 42, p.index));
-    EXPECT_EQ(p.trace_seed, derive_seed(42, 1, p.index));
-  }
-  EXPECT_EQ(chips.size(), 16u);
-  EXPECT_EQ(traces.size(), 16u);
-}
-
 // ---------------------------------------------------------------------------
 // RunAggregator
 
@@ -217,7 +199,9 @@ TEST_F(DeterminismTest, ParallelRunsBitIdenticalToSerialLoop) {
   }
 
   for (u32 threads : {1u, 2u, 8u}) {
-    const auto rows = ExperimentRunner(threads).run(grid);
+    SweepOptions opt;
+    opt.num_threads = threads;
+    const auto rows = SweepRunner(opt).run(grid);
     ASSERT_EQ(rows.size(), serial.size()) << threads << " threads";
     for (u64 i = 0; i < rows.size(); ++i) {
       EXPECT_EQ(rows[i], serial[i])
@@ -225,26 +209,6 @@ TEST_F(DeterminismTest, ParallelRunsBitIdenticalToSerialLoop) {
           << threads << " threads";
     }
   }
-}
-
-TEST_F(DeterminismTest, PerTaskSchemeIsAlsoThreadCountInvariant) {
-  RunParams rp;
-  rp.max_refs = 10'000;
-  rp.warmup_refs = 2'000;
-  ExperimentGrid grid;
-  grid.add_config(SystemConfig::config_a())
-      .add_workload("hmmer")
-      .add_policy(PolicyKind::kStatic)
-      .seeds(1, 42)
-      .replicates(4)
-      .seed_scheme(SeedScheme::kPerTask)
-      .params(rp);
-  const auto serial = ExperimentRunner(1).run(grid);
-  const auto parallel = ExperimentRunner(8).run(grid);
-  ASSERT_EQ(serial.size(), 4u);
-  EXPECT_EQ(serial, parallel);
-  // Different dies: replicate runs must not all be identical.
-  EXPECT_NE(serial[0].total_cache_energy(), serial[1].total_cache_energy());
 }
 
 TEST_F(DeterminismTest, WorkerExceptionSurfacesAtWait) {
@@ -256,8 +220,12 @@ TEST_F(DeterminismTest, WorkerExceptionSurfacesAtWait) {
       .add_workload("no-such-workload")  // spec_profile throws
       .add_policy(PolicyKind::kBaseline)
       .params(rp);
-  EXPECT_THROW(ExperimentRunner(4).run(grid), std::invalid_argument);
-  EXPECT_THROW(ExperimentRunner(1).run(grid), std::invalid_argument);
+  for (const u32 threads : {1u, 4u}) {
+    SweepOptions opt;
+    opt.num_threads = threads;
+    EXPECT_THROW(SweepRunner(opt).run(grid), std::invalid_argument)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

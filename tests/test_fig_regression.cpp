@@ -1,7 +1,7 @@
 // Golden figure-regression suite: a shrunk Fig. 4 grid (2 configs x 2
-// workloads, 50k refs) run through the parallel experiment engine, with the
-// paper-shape invariants from the fig4 bench header asserted so that figure
-// drift fails CI instead of waiting for someone to eyeball the tables.
+// workloads, 50k refs) run as a scalar run_one loop, with the paper-shape
+// invariants from the fig4 bench header asserted so that figure drift fails
+// CI instead of waiting for someone to eyeball the tables.
 //
 // hmmer (small hot working set, descends deepest) and libquantum (pure
 // streaming) are used because their shapes are the most robust at short
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "exp/experiment_runner.hpp"
 #include "exp/population_grid.hpp"
 #include "exp/sweep_engine.hpp"
 #include "fault/ber_model.hpp"
@@ -45,10 +44,14 @@ ExperimentGrid golden_grid() {
 
 class FigRegression : public ::testing::Test {
  protected:
-  // One grid run shared by every assertion in the suite.
+  // One scalar run_one loop over the grid, shared by every assertion in
+  // the suite (the reference SweepRunner must reproduce).
   static void SetUpTestSuite() {
-    reports_ = new std::vector<SimReport>(
-        ExperimentRunner().run(golden_grid()));
+    reports_ = new std::vector<SimReport>;
+    for (const auto& p : golden_grid().expand()) {
+      reports_->push_back(run_one(p.config, p.workload, p.policy, p.chip_seed,
+                                  p.trace_seed, p.params));
+    }
     rows_ = new std::vector<FigRow>;
     for (u64 i = 0; i < reports_->size(); i += 3) {
       rows_->push_back(

@@ -10,10 +10,10 @@
 // IS the specification.
 //
 // Tier B: a small Fig. 4-shaped grid executed by SweepRunner at several
-// (thread count x lane count) shapes must reproduce the scalar
-// ExperimentRunner's SimReports exactly (field-wise ==, including the
-// energy breakdowns), pinning the fused step/tick loop, the measurement
-// windowing, and the shard decomposition.
+// (thread count x lane count) shapes must reproduce a scalar run_one loop's
+// SimReports exactly (field-wise ==, including the energy breakdowns),
+// pinning the fused step/tick loop, the measurement windowing, and the
+// shard decomposition.
 #include "exp/sweep_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 
 #include "cache/cache_level.hpp"
 #include "core/system.hpp"
-#include "exp/experiment_runner.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -192,6 +191,17 @@ TEST(SweepLanes, BlockReplayMatchesPerOpStep) {
 
 // ---- Tier B -----------------------------------------------------------------
 
+/// The scalar reference: one run_one per point, in grid order.
+std::vector<SimReport> run_one_loop(
+    const std::vector<ExperimentPoint>& points) {
+  std::vector<SimReport> reports;
+  for (const auto& p : points) {
+    reports.push_back(run_one(p.config, p.workload, p.policy, p.chip_seed,
+                              p.trace_seed, p.params));
+  }
+  return reports;
+}
+
 std::vector<ExperimentPoint> small_grid() {
   RunParams rp;
   rp.max_refs = 30'000;
@@ -211,7 +221,7 @@ std::vector<ExperimentPoint> small_grid() {
 
 TEST(SweepSystem, GridReportsMatchScalarRunnerAtAnyShape) {
   const auto points = small_grid();
-  const auto want = ExperimentRunner(1).run(points);
+  const auto want = run_one_loop(points);
   ASSERT_EQ(want.size(), points.size());
 
   for (const u32 lanes : {1u, 4u, 16u}) {
@@ -232,29 +242,36 @@ TEST(SweepSystem, GridReportsMatchScalarRunnerAtAnyShape) {
 }
 
 TEST(SweepSystem, PerTaskSeedsDegradeToSingleLaneGroups) {
-  // Monte-Carlo style grids give every point its own trace seed; each group
-  // then holds one lane and the sweep engine must still match the scalar
-  // runner exactly.
+  // Monte-Carlo style grids give every point its own die and trace seed;
+  // each group then holds one lane, and the sweep engine must still match
+  // run_one exactly, at one thread and across the pool.
   RunParams rp;
   rp.max_refs = 10'000;
   rp.warmup_refs = 2'500;
-  ExperimentGrid grid;
-  grid.add_config(SystemConfig::config_a())
-      .add_workload("hmmer")
-      .add_policy(PolicyKind::kDynamic)
-      .replicates(4)
-      .seed_scheme(SeedScheme::kPerTask)
-      .seeds(1, 42)
-      .params(rp);
-  const auto points = grid.expand();
-  const auto want = ExperimentRunner(1).run(points);
-  SweepOptions opt;
-  opt.num_threads = 2;
-  opt.max_lanes = 8;
-  const auto got = SweepRunner(opt).run(points);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "replicate " << i;
+  std::vector<ExperimentPoint> points;
+  for (u64 i = 0; i < 4; ++i) {
+    ExperimentPoint p;
+    p.index = i;
+    p.config = SystemConfig::config_a();
+    p.workload = "hmmer";
+    p.policy = PolicyKind::kDynamic;
+    p.chip_seed = derive_seed(1, 42, i);
+    p.trace_seed = derive_seed(42, 1, i);
+    p.params = rp;
+    points.push_back(std::move(p));
+  }
+  const auto want = run_one_loop(points);
+  // Different dies and streams: the points must not all agree.
+  EXPECT_NE(want[0].total_cache_energy(), want[1].total_cache_energy());
+  for (const u32 threads : {1u, 8u}) {
+    SweepOptions opt;
+    opt.num_threads = threads;
+    opt.max_lanes = 8;
+    const auto got = SweepRunner(opt).run(points);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "point " << i << " threads=" << threads;
+    }
   }
 }
 
@@ -299,11 +316,7 @@ TEST(SweepSystem, SharedDiesMatchRunOneAtAnyShape) {
     p.params = rp;
     points.push_back(std::move(p));
   }
-  std::vector<SimReport> want;
-  for (const auto& p : points) {
-    want.push_back(run_one(p.config, p.workload, p.policy, p.chip_seed,
-                           p.trace_seed, p.params));
-  }
+  const auto want = run_one_loop(points);
 
   for (const u32 max_lanes : {1u, 4u, 16u}) {
     for (const u32 threads : {1u, 4u}) {

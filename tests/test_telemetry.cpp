@@ -14,7 +14,7 @@
 
 #include "core/config.hpp"
 #include "core/system.hpp"
-#include "exp/experiment_runner.hpp"
+#include "exp/sweep_engine.hpp"
 #include "telemetry/trace_sink.hpp"
 
 namespace pcs {
@@ -151,9 +151,10 @@ const std::map<std::string, std::vector<std::string>>& documented_schema() {
         "ipc", "mem_reads", "mem_writes"}},
       {"runner_task",
        {"task", "config", "workload", "policy", "chip_seed", "trace_seed"}},
-      {"runner_task_profile", {"task", "wall_ms"}},
-      {"runner_profile",
-       {"threads", "tasks", "steals", "max_queue_depth", "wall_ms_total"}},
+      {"sweep_task_profile", {"task", "lanes", "wall_ms"}},
+      {"sweep_profile",
+       {"threads", "shards", "max_lanes", "steals", "max_queue_depth",
+        "wall_ms_total"}},
       {"population_grid_point",
        {"point", "size_kb", "assoc", "sigma", "chips", "unusable",
         "no_spcs"}},
@@ -209,7 +210,9 @@ TEST(TelemetrySchema, RunnerRecordsMatchDocumentedFields) {
       .params(rp);
   MemoryTraceSink sink;
   RunnerStats stats;
-  ExperimentRunner(2).run(grid, &sink, &stats);
+  SweepOptions opt;
+  opt.num_threads = 2;
+  SweepRunner(opt).run(grid, &sink, &stats);
 
   const auto& schema = documented_schema();
   std::map<std::string, u64> seen;
@@ -220,19 +223,20 @@ TEST(TelemetrySchema, RunnerRecordsMatchDocumentedFields) {
         << "field mismatch in record type " << rec.type();
     ++seen[rec.type()];
   }
+  // Both points share one trace, so they run as one two-lane shard.
   EXPECT_EQ(seen["runner_task"], 2u);
-  EXPECT_EQ(seen["runner_task_profile"], 2u);
-  EXPECT_EQ(seen["runner_profile"], 1u);
-  EXPECT_EQ(stats.tasks, 2u);
+  EXPECT_EQ(seen["sweep_task_profile"], 1u);
+  EXPECT_EQ(seen["sweep_profile"], 1u);
+  EXPECT_EQ(stats.tasks, 1u);
   EXPECT_EQ(stats.threads, 2u);
-  EXPECT_EQ(stats.task_wall_ms.size(), 2u);
+  EXPECT_EQ(stats.task_wall_ms.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
 // Determinism: the deterministic trace sections must be byte-identical at
-// 1 vs 8 threads for the same seeds (acceptance criterion).
+// 1 vs 8 threads and at 1 vs 16 lanes per shard for the same seeds.
 
-std::string deterministic_jsonl(u32 threads) {
+std::string deterministic_jsonl(u32 threads, u32 max_lanes) {
   RunParams rp;
   rp.max_refs = 30'000;
   rp.warmup_refs = 7'500;
@@ -248,15 +252,18 @@ std::string deterministic_jsonl(u32 threads) {
   {
     JsonlTraceSink sink(out);
     emit_trace_header(sink);
-    ExperimentRunner(threads).run(grid, &sink);
+    SweepOptions opt;
+    opt.num_threads = threads;
+    opt.max_lanes = max_lanes;
+    SweepRunner(opt).run(grid, &sink);
   }
   // Strip the documented non-deterministic profiling section (wall-clock
   // fields vary run to run); everything else must be byte-stable.
   std::istringstream in(out.str());
   std::string line, kept;
   while (std::getline(in, line)) {
-    if (line.find("\"type\":\"runner_task_profile\"") != std::string::npos ||
-        line.find("\"type\":\"runner_profile\"") != std::string::npos) {
+    if (line.find("\"type\":\"sweep_task_profile\"") != std::string::npos ||
+        line.find("\"type\":\"sweep_profile\"") != std::string::npos) {
       continue;
     }
     kept += line;
@@ -266,10 +273,10 @@ std::string deterministic_jsonl(u32 threads) {
 }
 
 TEST(TelemetryDeterminism, TraceBytesIdenticalAcrossThreadCounts) {
-  const std::string serial = deterministic_jsonl(1);
-  const std::string parallel = deterministic_jsonl(8);
+  const std::string serial = deterministic_jsonl(1, 16);
   EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial, deterministic_jsonl(8, 16)) << "8 threads";
+  EXPECT_EQ(serial, deterministic_jsonl(1, 1)) << "1 lane per shard";
 }
 
 TEST(TelemetryDeterminism, TracingDoesNotPerturbSimulationResults) {

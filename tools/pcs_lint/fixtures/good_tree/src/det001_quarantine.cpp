@@ -1,6 +1,6 @@
 // DET001 clean case: wall clock quarantined with a file-scope annotation.
 // pcs-lint: allow-file(DET001) profiling-only wall clock, stripped from
-// determinism checks just like the runner_*_profile records
+// determinism checks just like the sweep_*profile records
 #include <chrono>
 
 double wall_ms() {
