@@ -483,6 +483,24 @@ void BM_Fig4SweepLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig4SweepLanes);
 
+/// The one per-event loop: PcsSystem::replay (step, then the three
+/// controller ticks, per event) over one decoded 4096-event block of a gcc
+/// stream, on a config A DPCS system. Items = retired references, so
+/// ns/item is the cache + core cost per reference without decode.
+void BM_SystemReplayBlock(benchmark::State& state) {
+  PcsSystem sys(SystemConfig::config_a(), PolicyKind::kDynamic, 1);
+  auto trace = make_spec_trace("gcc", 42);
+  std::vector<TraceEvent> block(kReplayBlockEvents);
+  trace->next_block(block.data(), block.size());
+  for (auto _ : state) {
+    sys.replay(block.data(), block.size());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<i64>(block.size()));
+}
+BENCHMARK(BM_SystemReplayBlock);
+
 // ---- Population engine inner loop -----------------------------------------
 
 /// The per-die population kernel in its plain bin_chip form (the serial

@@ -102,9 +102,9 @@ struct CacheLevelStats {
 class CacheLevel {
  public:
   /// Devirtualized replacement dispatch: chosen once at construction.
-  /// Public so the fused sweep paths (cache_level_inl.hpp, Hierarchy::
-  /// access_t, exp/sweep_engine) can hoist the dispatch out of their event
-  /// loops; not otherwise a stable API.
+  /// Public so the fused paths (cache_level_inl.hpp, Hierarchy::access_t,
+  /// PcsSystem::replay, CacheLaneSweep::replay) can hoist the dispatch out
+  /// of their event loops; not otherwise a stable API.
   enum class ReplKind : u8 {
     kLruPacked,  ///< true LRU, u64 nibble permutation (assoc <= 16)
     kLruWide,    ///< true LRU, byte ranks (non-pow2 or 16 < assoc <= 32)
@@ -150,9 +150,10 @@ class CacheLevel {
   // ---- Fused dispatch (see cache_level_inl.hpp) ---------------------------
   // Bodies of the K-specialized access paths live in cache_level_inl.hpp;
   // include it to inline them into an event loop that has hoisted the
-  // repl_kind() dispatch (Hierarchy::access_t, the sweep engine). The
-  // un-templated access()/receive_writeback() above dispatch per call and
-  // are the reference the fused paths must match bit for bit.
+  // repl_kind() dispatch (PcsSystem::replay's TU does); other TUs link
+  // against the instantiations in cache_level.cpp. The un-templated
+  // access()/receive_writeback() above dispatch per call and are the
+  // reference the fused paths must match bit for bit.
   template <ReplKind K>
   AccessResult access_impl(u64 addr, bool write);
   template <ReplKind K>

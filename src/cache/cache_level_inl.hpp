@@ -1,15 +1,15 @@
 // Template bodies of CacheLevel's devirtualized access paths.
 //
 // These are the K-specialized implementations behind access() and
-// receive_writeback(). They live in their own header -- included by
-// cache_level.cpp (which instantiates the three ReplKinds behind the
-// per-call dispatch switch) and, deliberately, by the sweep engine's
-// translation unit so its fused event loop can inline the whole access
-// path after hoisting the repl_kind() dispatch out of the loop. Keeping
-// the opt-in at TU granularity leaves the scalar engine's codegen exactly
-// as it was: the scalar path stays the reference spec the differential
-// suites compare against, and speedups reported for the sweep engine are
-// not flattered by a faster baseline.
+// receive_writeback(). They live in their own header, included by exactly
+// two TUs: cache_level.cpp, which instantiates the three ReplKinds behind
+// the per-call dispatch switch (every other caller links against those),
+// and core/system.cpp, whose PcsSystem::replay -- the one per-event loop,
+// behind PcsSystem::run and every sweep lane -- binds the ReplKind once
+// per system so the whole access path can inline into the loop. The
+// per-call access()/receive_writeback() stay the reference the bound
+// paths must match bit for bit (the per-event oracle in
+// tests/system_reference.hpp runs through them).
 #pragma once
 
 #include <bit>

@@ -52,9 +52,9 @@ class CpuModel final : public CycleClock {
   bool step(TraceSource& trace, AccessOutcome& out);
 
   /// Retires one already-decoded event: the non-decode half of step().
-  /// The sweep engine decodes each trace event once and replays it into
-  /// every lane through this entry point; K binds the hierarchy access
-  /// path as in Hierarchy::access_t (kReplDynamic == scalar behavior).
+  /// PcsSystem::replay retires decoded blocks through this entry point; K
+  /// binds the hierarchy access path as in Hierarchy::access_t
+  /// (kReplDynamic == per-call dispatch, step()'s behavior).
   template <int K>
   void step_decoded(const TraceEvent& ev, AccessOutcome& out) {
     out = hier_->access_t<K>(ev.ref);

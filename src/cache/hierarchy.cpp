@@ -35,9 +35,9 @@ void Hierarchy::writeback_from(CacheLevel& from, u64 addr) {
   if (wb.bypassed) ++mem_writes_;
 }
 
-// The scalar engine's instantiation: per-call replacement dispatch, exactly
-// the pre-template codegen. ReplKind-bound instantiations are produced by
-// the sweep engine's own TU (which inlines cache_level_inl.hpp too).
+// The per-call-dispatch instantiation behind access(). ReplKind-bound
+// instantiations are produced by PcsSystem::replay's TU (core/system.cpp,
+// which inlines cache_level_inl.hpp too).
 template AccessOutcome Hierarchy::access_t<kReplDynamic>(const MemRef&);
 
 }  // namespace pcs

@@ -5,15 +5,16 @@
 //
 //   K == kReplDynamic   every call goes through CacheLevel::access() /
 //                       receive_writeback(), which dispatch on repl_kind()
-//                       per call -- exactly the scalar engine's codegen.
-//                       Hierarchy::access() is defined as this instantiation.
+//                       per call. Hierarchy::access() is defined as this
+//                       instantiation.
 //
 //   K == (ReplKind)     calls bind directly to access_impl<K>; a TU that
-//                       also includes cache_level_inl.hpp (the sweep engine)
-//                       gets the whole path inlined with the replacement
-//                       dispatch hoisted out of its event loop. Only valid
-//                       when ALL levels share that ReplKind -- asserted at
-//                       lane-construction time, not here.
+//                       also includes cache_level_inl.hpp (core/system.cpp,
+//                       home of PcsSystem::replay) gets the whole path
+//                       inlined with the replacement dispatch hoisted out of
+//                       its event loop. Only valid when ALL levels share
+//                       that ReplKind -- checked when the system is
+//                       assembled, not here.
 //
 // Both instantiations execute the same statements in the same order on the
 // same state, so their results are bit-identical by construction.

@@ -26,7 +26,7 @@ class TraceSource {
   /// only at end of trace). Semantically identical to calling next() in a
   /// loop -- the default does exactly that -- but block-decoding sources
   /// (the .pcst reader) override it to decode straight into the caller's
-  /// buffer, which is what the sweep engine's decode-block loop consumes.
+  /// buffer. drive_blocks (core/system.hpp) pulls every run through it.
   virtual u64 next_block(TraceEvent* out, u64 max_events) {
     u64 n = 0;
     while (n < max_events && next(out[n])) ++n;

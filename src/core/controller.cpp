@@ -17,7 +17,9 @@ PcsController::PcsController(CacheLevel& cache, WritebackSink& sink,
       mech_(std::move(mechanism)),
       policy_(std::move(policy)),
       meter_(std::move(meter)),
-      interval_accesses_(interval_accesses) {}
+      interval_accesses_(interval_accesses) {
+  if (policy_ && interval_accesses_ > 0) window_end_ = interval_accesses_;
+}
 
 PcsController::PcsController(CacheLevel& cache, CycleClock& cpu,
                              EnergyMeter meter)
@@ -29,6 +31,13 @@ Volt PcsController::current_vdd() const noexcept {
 
 void PcsController::close_window() {
   const CacheLevelStats& s = cache_->stats();
+  // The window spans every access since it opened, overshoot included (one
+  // reference can add two L2 demand accesses); the next window starts at
+  // the counters read here, before a transition can touch them.
+  const u64 accesses = s.accesses;
+  const u64 misses = s.misses;
+  window_accesses_ = accesses - window_start_accesses_;
+  window_misses_ = misses - window_start_misses_;
   bool deferred = false;
   if (refill_fills_needed_ > 0 &&
       s.fills - fills_at_transition_ < refill_fills_needed_ &&
@@ -43,8 +52,11 @@ void PcsController::close_window() {
   }
   if (trace_) emit_interval_records(deferred);
   ++interval_index_;
-  window_accesses_ = 0;
-  window_misses_ = 0;
+  window_start_accesses_ = accesses;
+  window_start_misses_ = misses;
+  window_end_ = interval_accesses_ > ~0ULL - accesses
+                    ? ~0ULL
+                    : accesses + interval_accesses_;
   rank_snapshot_ = cache_->stats().hits_by_rank;
 }
 

@@ -48,8 +48,8 @@ class PcsController {
 
   /// Call after every CPU step; detects new accesses to this cache, charges
   /// dynamic energy, and evaluates the policy at interval boundaries.
-  /// Inline: this runs once per cache level per retired reference in both
-  /// the scalar and sweep engines (same codegen for both); only the
+  /// Inline: this runs once per cache level per retired reference; the
+  /// policy half is one compare against the armed window end, and the
   /// interval-boundary work stays out of line in close_window().
   void tick() {
     const CacheLevelStats& s = cache_->stats();
@@ -63,16 +63,7 @@ class PcsController {
       seen_energy_accesses_ = ea;
     }
 
-    if (!policy_ || interval_accesses_ == 0) return;
-
-    const u64 delta = s.accesses - seen_accesses_;
-    if (delta == 0) return;
-    window_accesses_ += delta;
-    window_misses_ += s.misses - seen_misses_;
-    seen_accesses_ = s.accesses;
-    seen_misses_ = s.misses;
-
-    if (window_accesses_ >= interval_accesses_) close_window();
+    if (s.accesses >= window_end_) close_window();
   }
 
   /// Integrates leakage up to the current CPU cycle (call at run end and
@@ -102,8 +93,9 @@ class PcsController {
   Volt current_vdd() const noexcept;
 
  private:
-  /// Interval-boundary handling: refill deferral, policy evaluation,
-  /// telemetry, window reset (the cold tail of tick()).
+  /// Interval-boundary handling: window totals, refill deferral, policy
+  /// evaluation, telemetry, re-arming the next window (the cold tail of
+  /// tick()).
   void close_window();
   void evaluate_policy();
   void do_transition(u32 want);
@@ -122,9 +114,14 @@ class PcsController {
   EnergyMeter meter_;
   u64 interval_accesses_ = 0;
 
-  u64 seen_accesses_ = 0;
-  u64 seen_misses_ = 0;
   u64 seen_energy_accesses_ = 0;
+  /// Demand-access count at which the open window closes; never reached
+  /// (~0) without a policy or with a zero interval.
+  u64 window_end_ = ~0ULL;
+  /// Stats counters when the open window started.
+  u64 window_start_accesses_ = 0;
+  u64 window_start_misses_ = 0;
+  /// The closing window's totals (stats deltas), set by close_window().
   u64 window_accesses_ = 0;
   u64 window_misses_ = 0;
   std::array<u64, 32> rank_snapshot_{};  ///< hits_by_rank at window start

@@ -2,6 +2,12 @@
 
 #include <stdexcept>
 
+// replay() is the library's one per-event loop (PcsSystem::run and every
+// sweep lane go through it), so this TU pulls in the template bodies of
+// the cache access paths: with the ReplKind bound once per system, the
+// hierarchy walk and the CacheLevel access paths can inline into the loop.
+#include "cache/cache_level_inl.hpp"
+#include "cache/hierarchy_inl.hpp"
 #include "core/static_policy.hpp"
 #include "trace/workload_source.hpp"
 #include "util/rng.hpp"
@@ -92,6 +98,14 @@ void PcsSystem::assemble(ManufacturedDie* die, CacheArena* arena) {
                              die ? &die->l1d : nullptr, &ladder_l1d_);
   ctl_l2_ = make_controller(hier_->l2(), cfg_.l2, die ? &die->l2 : nullptr,
                             &ladder_l2_);
+
+  // Bind replay()'s access path when all three levels share a ReplKind
+  // (true for the paper configs: "lru" at assoc <= 16 everywhere);
+  // otherwise dispatch per call, which is bit-identical.
+  const auto k = hier_->l1i().repl_kind();
+  repl_k_ = hier_->l1d().repl_kind() == k && hier_->l2().repl_kind() == k
+                ? static_cast<int>(k)
+                : kReplDynamic;
 }
 
 std::unique_ptr<PcsController> PcsSystem::make_controller(
@@ -235,21 +249,46 @@ SimReport PcsSystem::finish_measurement(const MeasureBaseline& base,
   return rep;
 }
 
-SimReport PcsSystem::run(TraceSource& trace, const RunParams& params) {
-  // Warm-up window (the analog of the paper's 1B-instruction fast-forward).
-  AccessOutcome out;
-  u64 warm = 0;
-  while (warm < params.warmup_refs && cpu_->step(trace, out)) {
-    tick_all();
-    ++warm;
-  }
-  const MeasureBaseline base = begin_measurement();
+namespace {
 
-  u64 measured = 0;
-  while (measured < params.max_refs && cpu_->step(trace, out)) {
-    tick_all();
-    ++measured;
+template <int K>
+void replay_events(PcsSystem& sys, const TraceEvent* events, u64 n) {
+  CpuModel& cpu = sys.cpu();
+  AccessOutcome out;
+  for (u64 i = 0; i < n; ++i) {
+    cpu.step_decoded<K>(events[i], out);
+    sys.tick_all();
   }
+}
+
+}  // namespace
+
+void PcsSystem::replay(const TraceEvent* events, u64 n) {
+  using RK = CacheLevel::ReplKind;
+  switch (repl_k_) {
+    case static_cast<int>(RK::kLruPacked):
+      replay_events<static_cast<int>(RK::kLruPacked)>(*this, events, n);
+      break;
+    case static_cast<int>(RK::kLruWide):
+      replay_events<static_cast<int>(RK::kLruWide)>(*this, events, n);
+      break;
+    case static_cast<int>(RK::kTreePlru):
+      replay_events<static_cast<int>(RK::kTreePlru)>(*this, events, n);
+      break;
+    default:
+      replay_events<kReplDynamic>(*this, events, n);
+      break;
+  }
+}
+
+SimReport PcsSystem::run(TraceSource& trace, const RunParams& params) {
+  // The warm-up window is the analog of the paper's 1B-instruction
+  // fast-forward.
+  MeasureBaseline base;
+  drive_blocks(
+      trace, params,
+      [this](const TraceEvent* events, u64 n) { replay(events, n); },
+      [&] { base = begin_measurement(); });
   return finish_measurement(base, trace.name());
 }
 

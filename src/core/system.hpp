@@ -7,6 +7,7 @@
 // power / performance / energy quantities of the paper's Fig. 4.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,15 +142,16 @@ class PcsSystem {
   /// Arena slab footprint of one system built from `config`.
   static CacheArena::Spec storage_spec(const SystemConfig& config);
 
-  /// Runs `trace` (warm-up + measured window) and reports.
+  /// Runs `trace` (warm-up + measured window) and reports: the trace is
+  /// pulled through next_block in blocks clipped at the warm-up edge
+  /// (drive_blocks) and each block goes through replay().
   SimReport run(TraceSource& trace, const RunParams& params);
 
   // ---- Piecewise run (the sweep engine's drive points) -------------------
-  // run() == warm-up step/tick loop + begin_measurement() + measured
-  // step/tick loop + finish_measurement(). The sweep engine replays shared
-  // decoded events into many systems, so it owns the loops and calls these
-  // boundaries per lane; the sequencing here must stay bit-identical to
-  // run()'s.
+  // run() == drive_blocks(replay, begin_measurement) + finish_measurement().
+  // The sweep engine replays shared decoded blocks into many systems, so it
+  // drives the blocks itself and calls these per lane; every event still
+  // goes through replay(), the one per-event loop.
 
   /// Counter snapshot taken at the warm-up/measured boundary.
   struct MeasureBaseline {
@@ -166,6 +168,12 @@ class PcsSystem {
   /// emitting the cache_stats / run_summary telemetry when traced.
   SimReport finish_measurement(const MeasureBaseline& base,
                                const std::string& workload);
+
+  /// Retires `n` decoded events: per event, step the CPU, then tick all
+  /// three controllers. The replacement dispatch is bound once, at
+  /// assembly: to the levels' common ReplKind, or per call when they
+  /// differ. Bit-identical to CpuModel::step + tick_all per event.
+  void replay(const TraceEvent* events, u64 n);
 
   /// Advances all three PCS controllers (call once per retired reference).
   void tick_all() {
@@ -200,6 +208,9 @@ class PcsSystem {
 
   SystemConfig cfg_;
   PolicyKind kind_;
+  /// replay()'s access binding: a CacheLevel::ReplKind shared by all three
+  /// levels, or kReplDynamic.
+  int repl_k_ = kReplDynamic;
   std::unique_ptr<Hierarchy> hier_;
   std::unique_ptr<CpuModel> cpu_;
   std::unique_ptr<PcsController> ctl_l1i_;
@@ -208,6 +219,46 @@ class PcsSystem {
   VddLadder ladder_l1i_, ladder_l1d_, ladder_l2_;
   TraceSink* trace_ = nullptr;
 };
+
+/// Largest block drive_blocks decodes at once. Each block is replayed into
+/// every lane of a sweep shard before the next, so a longer block re-warms
+/// each lane's cache-model state less often; the block (96 KB of
+/// TraceEvents) streams from L2. On the 96-point Fig. 4 grid, one thread,
+/// 4096 ran at a median time ratio of 0.93 against 256 over 12 alternating
+/// pairs, and 16384 was no better than 4096.
+inline constexpr u64 kReplayBlockEvents = 4096;
+
+/// Pulls the warm-up and then the measured window of `trace` through
+/// `replay(const TraceEvent*, u64)` in blocks of at most kReplayBlockEvents,
+/// clipped so no block straddles the warm-up/measured edge, and calls
+/// `at_edge()` between the two windows. Trace-end semantics: the warm-up
+/// is min(warmup_refs, stream) events and the measured window min(max_refs,
+/// rest). The block buffer holds min(kReplayBlockEvents, warmup_refs +
+/// max_refs) events, so a zero-length run allocates nothing and decodes
+/// nothing. The one block loop behind PcsSystem::run and the sweep shards.
+template <class Replay, class Edge>
+void drive_blocks(TraceSource& trace, const RunParams& params,
+                  Replay&& replay, Edge&& at_edge) {
+  const u64 cap = std::min(
+      kReplayBlockEvents,
+      std::min(params.warmup_refs, kReplayBlockEvents) +
+          std::min(params.max_refs, kReplayBlockEvents));
+  std::vector<TraceEvent> block(cap);
+  const auto window = [&](u64 refs) {
+    for (u64 done = 0; done < refs;) {
+      const u64 want = std::min(cap, refs - done);
+      // next_block is semantically a next() loop; block-decoding sources
+      // (the mmap'd .pcst reader) fill the buffer in one call.
+      const u64 n = trace.next_block(block.data(), want);
+      replay(block.data(), n);
+      done += n;
+      if (n < want) break;  // trace exhausted
+    }
+  };
+  window(params.warmup_refs);
+  at_edge();
+  window(params.max_refs);
+}
 
 /// Manufactures one system and runs one workload end to end. `workload` is
 /// a SPEC-like profile name or a recorded-trace path (text or .pcst; see

@@ -3,17 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-// The fused per-lane event loop is instantiated here per replacement kind:
-// the template bodies of the cache access paths are pulled in so
-// step_decoded<K> and the hierarchy walk can inline into drive_lanes<K>.
-// The compiler still decides what inlines: GCC 12.2 -O3 keeps
-// CacheLevel::access_impl<kLruPacked>, receive_writeback_impl and
-// PcsController::close_window as out-of-line calls from drive_lanes<0>
-// (objdump). The scalar engine's TUs do NOT include these bodies, so its
-// codegen -- the reference the differential suites compare against -- is
-// untouched.
-#include "cache/cache_level_inl.hpp"
-#include "cache/hierarchy_inl.hpp"
 #include "exp/thread_pool.hpp"
 #include "trace/workload_source.hpp"
 #include "util/rng.hpp"
@@ -113,65 +102,10 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Decoded events are broadcast to lanes in blocks this big. Each lane
-/// replays the whole block before the next lane starts, so a longer block
-/// re-warms each lane's cache-model state less often; the block (96 KB of
-/// TraceEvents) streams from L2. On the 96-point Fig. 4 grid, one thread,
-/// 4096 ran at a median time ratio of 0.93 against 256 over 12 alternating
-/// pairs, and 16384 was no better than 4096.
-constexpr u64 kBlockEvents = 4096;
-
 struct Lane {
   std::unique_ptr<PcsSystem> sys;
   PcsSystem::MeasureBaseline base;
 };
-
-/// Replays one decoded block into every lane, lane-major. Per lane this is
-/// exactly the scalar run() inner loop -- step, then all three controller
-/// ticks, per event -- so each lane's state evolution is bit-identical to
-/// a solo run. Lane-major order keeps one lane's working set hot across
-/// the whole block; lanes are independent, so the cross-lane order is
-/// unobservable in results.
-template <int K>
-void drive_lanes(std::vector<Lane>& lanes, const TraceEvent* evs, u64 n) {
-  AccessOutcome out;
-  for (auto& lane : lanes) {
-    PcsSystem& sys = *lane.sys;
-    CpuModel& cpu = sys.cpu();
-    for (u64 i = 0; i < n; ++i) {
-      cpu.step_decoded<K>(evs[i], out);
-      sys.tick_all();
-    }
-  }
-}
-
-/// Warm-up + measured loops, block-clipped so no block straddles the
-/// measurement boundary; trace-end semantics match PcsSystem::run()
-/// (warm-up = min(warmup_refs, stream), measured = min(max_refs, rest)).
-template <int K>
-void run_shard_loops(std::vector<Lane>& lanes, TraceSource& trace,
-                     const RunParams& params) {
-  std::vector<TraceEvent> block(kBlockEvents);
-  u64 warm = 0;
-  while (warm < params.warmup_refs) {
-    const u64 want = std::min<u64>(kBlockEvents, params.warmup_refs - warm);
-    // next_block is semantically a next() loop, but block-decoding sources
-    // (the mmap'd .pcst reader) fill the buffer zero-copy in one call.
-    const u64 n = trace.next_block(block.data(), want);
-    drive_lanes<K>(lanes, block.data(), n);
-    warm += n;
-    if (n < want) break;  // trace exhausted during warm-up
-  }
-  for (auto& lane : lanes) lane.base = lane.sys->begin_measurement();
-  u64 measured = 0;
-  while (measured < params.max_refs) {
-    const u64 want = std::min<u64>(kBlockEvents, params.max_refs - measured);
-    const u64 n = trace.next_block(block.data(), want);
-    drive_lanes<K>(lanes, block.data(), n);
-    measured += n;
-    if (n < want) break;
-  }
-}
 
 /// Runs one shard: constructs its lanes back to back in one arena, decodes
 /// the group's trace once, and returns the reports in shard order.
@@ -219,37 +153,20 @@ std::vector<SimReport> run_shard(const std::vector<ExperimentPoint>& points,
     }
   }
 
+  // Each decoded block goes lane-major through PcsSystem::replay, the one
+  // per-event loop: one lane's working set stays hot across the whole
+  // block, and lanes are independent, so the cross-lane order is
+  // unobservable in results.
   const ExperimentPoint& head = points[idxs[0]];
   auto trace_src = make_workload_source(head.workload, head.trace_seed);
-
-  // Hoist the replacement dispatch when every level of every lane shares
-  // one ReplKind (true for the paper grids: "lru" at assoc <= 16
-  // everywhere); otherwise fall back to per-call dispatch, which is still
-  // bit-identical (see Hierarchy::access_t).
-  int common = static_cast<int>(lanes[0].sys->hierarchy().l1i().repl_kind());
-  for (auto& lane : lanes) {
-    Hierarchy& h = lane.sys->hierarchy();
-    for (const CacheLevel* c : {&h.l1i(), &h.l1d(), &h.l2()}) {
-      if (static_cast<int>(c->repl_kind()) != common) common = kReplDynamic;
-    }
-  }
-  switch (common) {
-    case static_cast<int>(CacheLevel::ReplKind::kLruPacked):
-      run_shard_loops<static_cast<int>(CacheLevel::ReplKind::kLruPacked)>(
-          lanes, *trace_src, head.params);
-      break;
-    case static_cast<int>(CacheLevel::ReplKind::kLruWide):
-      run_shard_loops<static_cast<int>(CacheLevel::ReplKind::kLruWide)>(
-          lanes, *trace_src, head.params);
-      break;
-    case static_cast<int>(CacheLevel::ReplKind::kTreePlru):
-      run_shard_loops<static_cast<int>(CacheLevel::ReplKind::kTreePlru)>(
-          lanes, *trace_src, head.params);
-      break;
-    default:
-      run_shard_loops<kReplDynamic>(lanes, *trace_src, head.params);
-      break;
-  }
+  drive_blocks(
+      *trace_src, head.params,
+      [&lanes](const TraceEvent* events, u64 n) {
+        for (auto& lane : lanes) lane.sys->replay(events, n);
+      },
+      [&lanes] {
+        for (auto& lane : lanes) lane.base = lane.sys->begin_measurement();
+      });
 
   std::vector<SimReport> reps;
   reps.reserve(idxs.size());

@@ -16,9 +16,10 @@
 //     trace is a pure function of (spec, seed), so their event streams are
 //     identical); groups split into shards of at most max_lanes lanes, and
 //     shards fan across the deterministic ThreadPool -- lanes within a
-//     task, shards across tasks. Each lane's operation sequence is exactly
-//     the scalar PcsSystem::run() sequence (decoded event -> step ->
-//     controller ticks), so every SimReport is bit-identical to
+//     task, shards across tasks. A shard decodes its trace once through
+//     drive_blocks and hands every block to each lane's
+//     PcsSystem::replay -- the same block loop and per-event loop that
+//     PcsSystem::run() uses -- so every SimReport is bit-identical to
 //     run_one's, at any thread count and any lane count.
 //
 // Determinism argument (DESIGN.md section 12): lanes never share mutable

@@ -1,5 +1,7 @@
 #include "trace/decode.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -15,6 +17,39 @@ namespace {
                             const std::string& what) {
   throw std::runtime_error(path + ": block " + std::to_string(block) + ": " +
                            what);
+}
+
+/// Unpacks the n `width`-bit values of a packed delta lane of `bytes`
+/// bytes (LSB-first bitstream, format.hpp) into zz[0..n). While the 8-byte
+/// window at a value's first byte lies inside the lane, one unaligned
+/// little-endian load serves it: width <= kMaxPackWidth (56) plus the bit
+/// offset (<= 7) fits in 64 bits. The last values fall back to assembling
+/// only the lane's remaining bytes, so nothing past the lane is read.
+void unpack_lane(const u8* lane, u64 bytes, u32 width, u64 n, u64* zz) {
+  static_assert(pcst::kMaxPackWidth + 7 <= 64);
+  if (width == 0) {
+    for (u64 i = 0; i < n; ++i) zz[i] = 0;
+    return;
+  }
+  const u64 mask = ~0ULL >> (64 - width);
+  u64 i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (u64 bit = 0; i < n && (bit >> 3) + 8 <= bytes; ++i, bit += width) {
+      u64 word;
+      std::memcpy(&word, lane + (bit >> 3), sizeof word);
+      zz[i] = (word >> (bit & 7)) & mask;
+    }
+  }
+  for (; i < n; ++i) {
+    const u64 bit = i * width;
+    const u64 first = bit >> 3;
+    const u64 avail = std::min<u64>(8, bytes - first);
+    u64 word = 0;
+    for (u64 b = 0; b < avail; ++b) {
+      word |= static_cast<u64>(lane[first + b]) << (8 * b);
+    }
+    zz[i] = (word >> (bit & 7)) & mask;
+  }
 }
 
 }  // namespace
@@ -140,24 +175,8 @@ u32 decode_pcst_block(const u8* data, const PcstBlockRef& ref, u64 block_idx,
     bad_block(path, block_idx, "truncated packed deltas");
   }
   u64 zz[pcst::kEventsPerBlock];
-  const u8* q = p;
+  unpack_lane(p, pack_bytes, width, n, zz);
   p += pack_bytes;
-  if (width == 0) {
-    for (u64 i = 0; i < n; ++i) zz[i] = 0;
-  } else {
-    const u64 mask = ~0ULL >> (64 - width);
-    u64 acc = 0;
-    u32 bits = 0;
-    for (u64 i = 0; i < n; ++i) {
-      while (bits < width) {
-        acc |= static_cast<u64>(*q++) << bits;
-        bits += 8;
-      }
-      zz[i] = acc & mask;
-      acc >>= width;
-      bits -= width;
-    }
-  }
   u64 num_exceptions = 0;
   if (!pcst::get_varint(p, end, num_exceptions) || num_exceptions > n) {
     bad_block(path, block_idx, "malformed delta exception count");
@@ -216,30 +235,27 @@ u32 decode_pcst_block(const u8* data, const PcstBlockRef& ref, u64 block_idx,
       bad_block(path, block_idx, "truncated gap codes");
     }
     p += code_bytes;
-    u64 num_nibbles = 0;
+    // One branch-free pass writes every 2-bit code as the gap and collects
+    // the escapes' event indexes; only the escapes are revisited below.
+    u32 escapes[pcst::kEventsPerBlock];
+    u64 num_escapes = 0;
     for (u64 i = 0; i < n; ++i) {
-      if (((codes[i / 4] >> (2 * (i % 4))) & 0x3) == pcst::kGapEscape2Bit) {
-        ++num_nibbles;
-      }
+      const u32 code = (codes[i / 4] >> (2 * (i % 4))) & 0x3;
+      out[i].gap_instructions = code;
+      escapes[num_escapes] = static_cast<u32>(i);
+      num_escapes += code == pcst::kGapEscape2Bit;
     }
     const u8* nibs = p;
-    const u64 nib_bytes = (num_nibbles + 1) / 2;
+    const u64 nib_bytes = (num_escapes + 1) / 2;
     if (static_cast<u64>(end - p) < nib_bytes) {
       bad_block(path, block_idx, "truncated gap nibbles");
     }
     p += nib_bytes;
-    u64 nib_at = 0;
-    for (u64 i = 0; i < n; ++i) {
-      const u8 code = (codes[i / 4] >> (2 * (i % 4))) & 0x3;
-      if (code != pcst::kGapEscape2Bit) {
-        out[i].gap_instructions = code;
-        continue;
-      }
-      const u8 nib =
-          (nibs[nib_at / 2] >> (4 * (nib_at % 2))) & 0xf;
-      ++nib_at;
+    for (u64 e = 0; e < num_escapes; ++e) {
+      const u8 nib = (nibs[e / 2] >> (4 * (e % 2))) & 0xf;
+      TraceEvent& ev = out[escapes[e]];
       if (nib != pcst::kGapNibbleEscape) {
-        out[i].gap_instructions = pcst::kGapNibbleBias + nib;
+        ev.gap_instructions = pcst::kGapNibbleBias + nib;
         continue;
       }
       u64 gap = 0;
@@ -249,7 +265,7 @@ u32 decode_pcst_block(const u8* data, const PcstBlockRef& ref, u64 block_idx,
       if (gap > pcst::kMaxGap) {
         bad_block(path, block_idx, "malformed gap value");
       }
-      out[i].gap_instructions = static_cast<u32>(gap);
+      ev.gap_instructions = static_cast<u32>(gap);
     }
   } else {
     bad_block(path, block_idx, "unknown gap mode");

@@ -7,10 +7,10 @@
 // the lane-parallel sweep engine opens the file once and gives every shard
 // its own cursor over the same pages, no re-parse and no per-lane copies.
 //
-// PcstTrace is the TraceSource adapter: next() serves events one at a time
-// for the scalar engine; next_block() decodes whole 256-event blocks
-// STRAIGHT into the caller's decode buffer (the sweep engine's block shape,
-// DESIGN.md section 12) whenever the caller asks for at least a full block,
+// PcstTrace is the TraceSource adapter: next() serves events one at a time;
+// next_block() -- what PcsSystem::run and the sweep shards pull through
+// drive_blocks -- decodes whole 256-event blocks STRAIGHT into the caller's
+// decode buffer whenever the caller asks for at least a full block,
 // buffering only the clipped tail at warmup/measure boundaries.
 #pragma once
 

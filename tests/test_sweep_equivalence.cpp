@@ -10,20 +10,33 @@
 // IS the specification.
 //
 // Tier B: a small Fig. 4-shaped grid executed by SweepRunner at several
-// (thread count x lane count) shapes must reproduce a scalar run_one loop's
+// (thread count x lane count) shapes must reproduce the per-event oracle's
 // SimReports exactly (field-wise ==, including the energy breakdowns),
-// pinning the fused step/tick loop, the measurement windowing, and the
-// shard decomposition.
+// pinning the block clipping, the measurement windowing, and the shard
+// decomposition.
+//
+// PcsSystem::run against the oracle: synthetic, text and .pcst sources,
+// traces that end during warm-up or mid-measurement, a run length that is
+// not a multiple of the decode block, and hierarchies whose levels share
+// each ReplKind or mix them (the per-call dispatch binding).
 #include "exp/sweep_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/cache_level.hpp"
 #include "core/system.hpp"
+#include "system_reference.hpp"
+#include "trace/encode.hpp"
+#include "trace/workload_source.hpp"
 #include "util/rng.hpp"
+#include "workload/spec_profiles.hpp"
 
 namespace pcs {
 namespace {
@@ -191,13 +204,15 @@ TEST(SweepLanes, BlockReplayMatchesPerOpStep) {
 
 // ---- Tier B -----------------------------------------------------------------
 
-/// The scalar reference: one run_one per point, in grid order.
+/// The per-event reference: what run_one computes for each point, one
+/// event at a time (reference_run), in grid order.
 std::vector<SimReport> run_one_loop(
     const std::vector<ExperimentPoint>& points) {
   std::vector<SimReport> reports;
   for (const auto& p : points) {
-    reports.push_back(run_one(p.config, p.workload, p.policy, p.chip_seed,
-                              p.trace_seed, p.params));
+    auto trace = make_workload_source(p.workload, p.trace_seed);
+    PcsSystem sys(p.config, p.policy, p.chip_seed);
+    reports.push_back(reference_run(sys, *trace, p.params));
   }
   return reports;
 }
@@ -328,6 +343,185 @@ TEST(SweepSystem, SharedDiesMatchRunOneAtAnyShape) {
       for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got[i], want[i]) << "point " << i << " lanes=" << max_lanes
                                    << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// ---- PcsSystem::run vs the per-event oracle --------------------------------
+
+/// Serves the first `limit` events of `inner`: a synthetic stream that
+/// ends, read through the default (next()-loop) next_block.
+class Truncated final : public TraceSource {
+ public:
+  Truncated(std::unique_ptr<TraceSource> inner, u64 limit)
+      : inner_(std::move(inner)), left_(limit) {}
+  bool next(TraceEvent& out) override {
+    if (left_ == 0 || !inner_->next(out)) return false;
+    --left_;
+    return true;
+  }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<TraceSource> inner_;
+  u64 left_;
+};
+
+using OpenTrace = std::function<std::unique_ptr<TraceSource>()>;
+
+/// One trace in three containers: the synthetic generator cut at `events`,
+/// and text and .pcst recordings of the same events.
+struct TraceForms {
+  std::string text;
+  std::string pcst;
+  std::vector<std::pair<const char*, OpenTrace>> sources;
+
+  explicit TraceForms(u64 events) {
+    const std::string stem = std::string(::testing::TempDir()) +
+                             "/oracle_" + std::to_string(events);
+    text = stem + ".trace";
+    pcst = stem + ".pcst";
+    record_trace(*make_spec_trace("gcc", 42), text, events, TraceFormat::kText);
+    record_trace(*make_spec_trace("gcc", 42), pcst, events, TraceFormat::kPcst);
+    sources = {
+        {"synthetic",
+         [events] {
+           return std::make_unique<Truncated>(make_spec_trace("gcc", 42),
+                                              events);
+         }},
+        {"text", [this] { return open_trace_file(text); }},
+        {"pcst", [this] { return open_trace_file(pcst); }},
+    };
+  }
+  ~TraceForms() {
+    std::remove(text.c_str());
+    std::remove(pcst.c_str());
+  }
+  TraceForms(const TraceForms&) = delete;
+  TraceForms& operator=(const TraceForms&) = delete;
+};
+
+/// PcsSystem::run and reference_run on twin systems must report == and
+/// leave their traces at the same event.
+void expect_run_matches_reference(const SystemConfig& cfg, PolicyKind kind,
+                                  const OpenTrace& open, const RunParams& rp,
+                                  const std::string& what) {
+  PcsSystem sys(cfg, kind, 3);
+  PcsSystem ref(cfg, kind, 3);
+  auto trace = open();
+  auto ref_trace = open();
+  EXPECT_EQ(sys.run(*trace, rp), reference_run(ref, *ref_trace, rp)) << what;
+  TraceEvent a;
+  TraceEvent b;
+  const bool more = trace->next(a);
+  ASSERT_EQ(more, ref_trace->next(b)) << what;
+  if (more) {
+    EXPECT_EQ(a.ref.addr, b.ref.addr) << what;
+    EXPECT_EQ(a.gap_instructions, b.gap_instructions) << what;
+  }
+}
+
+RunParams params(u64 warmup, u64 measured) {
+  RunParams rp;
+  rp.warmup_refs = warmup;
+  rp.max_refs = measured;
+  return rp;
+}
+
+TEST(ReplayOracle, RunMatchesPerEventReferenceAtEveryEdge) {
+  struct Case {
+    const char* what;
+    u64 trace_events;
+    RunParams rp;
+  };
+  const Case cases[] = {
+      {"no warm-up", 40'000, params(0, 20'000)},
+      {"trace ends during warm-up", 5'000, params(8'000, 10'000)},
+      {"trace ends mid-measurement", 12'345, params(5'000, 20'000)},
+      {"measured refs not a block multiple", 170'000, params(10'000, 150'001)},
+      {"zero-length run", 1'000, params(0, 0)},
+  };
+  const SystemConfig cfg = SystemConfig::config_a();
+  for (const Case& c : cases) {
+    const TraceForms forms(c.trace_events);
+    for (const auto& [form, open] : forms.sources) {
+      for (const PolicyKind kind :
+           {PolicyKind::kBaseline, PolicyKind::kStatic, PolicyKind::kDynamic}) {
+        expect_run_matches_reference(
+            cfg, kind, open, c.rp,
+            std::string(c.what) + " / " + form + " / " + to_string(kind));
+      }
+    }
+  }
+}
+
+TEST(ReplayOracle, ZeroLengthRunPullsNoEvents) {
+  // Counts what run() asks of its source: a zero-length run (the set-up
+  // passes of the benchmarks) must not decode, and a short one must ask
+  // for no more than its window.
+  class Counting final : public TraceSource {
+   public:
+    bool next(TraceEvent& out) override { return inner_->next(out); }
+    u64 next_block(TraceEvent* out, u64 max_events) override {
+      ++calls;
+      largest = std::max(largest, max_events);
+      return inner_->next_block(out, max_events);
+    }
+    const char* name() const override { return inner_->name(); }
+    u64 calls = 0;
+    u64 largest = 0;
+
+   private:
+    std::unique_ptr<TraceSource> inner_ = make_spec_trace("gcc", 42);
+  };
+  PcsSystem sys(SystemConfig::config_a(), PolicyKind::kDynamic, 3);
+  Counting none;
+  const SimReport rep = sys.run(none, params(0, 0));
+  EXPECT_EQ(none.calls, 0u);
+  EXPECT_EQ(rep.refs, 0u);
+  Counting few;
+  EXPECT_EQ(sys.run(few, params(10, 20)).refs, 20u);
+  EXPECT_EQ(few.calls, 2u);
+  EXPECT_EQ(few.largest, 20u);
+}
+
+TEST(ReplayOracle, EveryReplacementBindingMatchesPerCallDispatch) {
+  using RK = CacheLevel::ReplKind;
+  SystemConfig packed = SystemConfig::config_a();
+  SystemConfig tree = packed;
+  tree.replacement = "tree-plru";
+  SystemConfig wide = packed;
+  wide.l1i.org.assoc = 32;
+  wide.l1d.org.assoc = 32;
+  wide.l2.org.assoc = 32;
+  // A 32-way L2 takes byte-rank LRU under packed-LRU L1s: the levels
+  // disagree, so replay() dispatches per call.
+  SystemConfig mixed = packed;
+  mixed.l2.org.assoc = 32;
+  struct Case {
+    const char* what;
+    const SystemConfig* cfg;
+    RK l1;
+    RK l2;
+  };
+  const Case cases[] = {
+      {"packed LRU", &packed, RK::kLruPacked, RK::kLruPacked},
+      {"tree-PLRU", &tree, RK::kTreePlru, RK::kTreePlru},
+      {"wide LRU", &wide, RK::kLruWide, RK::kLruWide},
+      {"mixed kinds", &mixed, RK::kLruPacked, RK::kLruWide},
+  };
+  const TraceForms forms(60'000);
+  const RunParams rp = params(9'000, 50'001);
+  for (const Case& c : cases) {
+    PcsSystem probe(*c.cfg, PolicyKind::kBaseline, 3);
+    ASSERT_EQ(probe.hierarchy().l1d().repl_kind(), c.l1) << c.what;
+    ASSERT_EQ(probe.hierarchy().l2().repl_kind(), c.l2) << c.what;
+    for (const auto& [form, open] : forms.sources) {
+      for (const PolicyKind kind : {PolicyKind::kStatic, PolicyKind::kDynamic}) {
+        expect_run_matches_reference(
+            *c.cfg, kind, open, rp,
+            std::string(c.what) + " / " + form + " / " + to_string(kind));
       }
     }
   }

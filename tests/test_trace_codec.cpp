@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -152,6 +154,102 @@ TEST(PcstBlockCodec, AdversarialFixedBlocks) {
                                static_cast<u8>(i % 3), i % 19));
   }
   roundtrip_block(mixed);
+}
+
+/// Encodes `evs` as one block, copies the payload into a heap buffer of
+/// exactly its size (so ASan flags any read past it), decodes and compares.
+/// Returns the payload for layout checks.
+std::vector<u8> roundtrip_exact(const std::vector<TraceEvent>& evs) {
+  std::string payload;
+  encode_pcst_block(evs.data(), static_cast<u32>(evs.size()), payload);
+  const auto exact = std::make_unique<u8[]>(payload.size());
+  std::memcpy(exact.get(), payload.data(), payload.size());
+  PcstBlockRef ref;
+  ref.bytes = static_cast<u32>(payload.size());
+  ref.events = static_cast<u32>(evs.size());
+  ref.checksum = pcst::fnv1a(exact.get(), payload.size());
+  std::vector<TraceEvent> out(pcst::kEventsPerBlock);
+  const u32 n = decode_pcst_block(exact.get(), ref, 0, out.data(), "mem");
+  EXPECT_EQ(n, evs.size());
+  for (u32 i = 0; i < n && i < evs.size(); ++i) {
+    EXPECT_TRUE(events_equal(evs[i], out[i])) << "event " << i;
+  }
+  return std::vector<u8>(payload.begin(), payload.end());
+}
+
+/// Byte offset of the delta section's width byte: varint n, the 2-bit kind
+/// table, then the shift byte.
+std::size_t width_offset(u64 n) {
+  return pcst::varint_len(n) + (n + 3) / 4 + 1;
+}
+
+TEST(PcstBlockCodec, EveryPackWidthAtEveryTailLength) {
+  // Zig-zag deltas all in [2^(w-1), 2^w) make width w the encoder's unique
+  // cheapest lane, with no exceptions; the first delta is odd, so the
+  // block's shift is 0. Block sizes put the lane's last values at every
+  // distance from its end, so the decoder's 8-byte window and its byte
+  // tail both run at every width.
+  for (const u32 n : {1u, 7u, 8u, 9u, 255u, 256u}) {
+    for (u32 w = 1; w <= pcst::kMaxPackWidth; ++w) {
+      Rng rng(n * 131 + w);
+      std::vector<TraceEvent> evs;
+      evs.reserve(n);
+      u64 addr = rng.next_u64();
+      const u64 top = 1ULL << (w - 1);
+      for (u32 i = 0; i < n; ++i) {
+        u64 zz = top | (rng.next_u64() & (top - 1));
+        if (i == 0 && w >= 3) zz = top | 2;  // delta (zz >> 1) is odd
+        const u64 delta = (zz >> 1) ^ (0ULL - (zz & 1));
+        addr = i == 0 ? delta : addr + delta;
+        evs.push_back(make_event(addr, pcst::kKindRead,
+                                 static_cast<u32>(rng.uniform_int(40))));
+      }
+      const auto payload = roundtrip_exact(evs);
+      EXPECT_EQ(payload[width_offset(n) - 1], 0u) << "n=" << n << " w=" << w;
+      EXPECT_EQ(payload[width_offset(n)], w) << "n=" << n << " w=" << w;
+    }
+  }
+}
+
+TEST(PcstBlockCodec, PackedGapEscapeClasses) {
+  // Addresses all 0 leave the delta section empty (width 0, no
+  // exceptions), so the gap-mode byte sits right after it.
+  const auto check = [](const std::vector<u32>& gaps, const char* what) {
+    std::vector<TraceEvent> evs;
+    evs.reserve(gaps.size());
+    for (const u32 g : gaps) evs.push_back(make_event(0, pcst::kKindRead, g));
+    const auto payload = roundtrip_exact(evs);
+    const std::size_t mode_at = width_offset(gaps.size()) + 2;
+    EXPECT_EQ(payload[mode_at], pcst::kGapModePacked)
+        << what << " n=" << gaps.size();
+  };
+  // No two neighbours share a gap, so RLE never wins. (A one-event block
+  // always encodes as RLE, which is never costlier there.)
+  for (const u32 n : {7u, 8u, 9u, 255u, 256u}) {
+    Rng rng(n);
+    std::vector<u32> all_escapes;     // every 2-bit code escapes to a nibble
+    std::vector<u32> all_nibble_esc;  // every nibble escapes to a varint
+    std::vector<u32> mixed;           // codes, nibbles and varints in turn
+    all_escapes.reserve(n);
+    all_nibble_esc.reserve(n);
+    mixed.reserve(n);
+    for (u32 i = 0; i < n; ++i) {
+      all_escapes.push_back(3 + 2 * (i % 2) +
+                            4 * static_cast<u32>(rng.uniform_int(3)));
+      all_nibble_esc.push_back(18 + 2 * (i % 2) +
+                               4 * static_cast<u32>(rng.uniform_int(1 << 18)));
+      const u32 r = static_cast<u32>(rng.uniform_int(3));
+      switch (i % 4) {
+        case 0: mixed.push_back(r); break;
+        case 1: mixed.push_back(3 + 5 * r); break;
+        case 2: mixed.push_back(18 + 300 * r); break;
+        default: mixed.push_back(0xffff'ffffu - r); break;
+      }
+    }
+    check(all_escapes, "all escapes");
+    check(all_nibble_esc, "all nibble escapes");
+    check(mixed, "mixed varint");
+  }
 }
 
 TEST(PcstBlockCodec, RejectsOutOfRangeSizes) {
